@@ -7,8 +7,7 @@ rolls out*, and *when it must be pulled back*:
 * :mod:`.lifecycle` — the policy state machine and append-only audit log;
 * :mod:`.admission` — per-client capabilities, quotas, conflict gates;
 * :mod:`.guards` — the guard family: SLO averages, tail-latency
-  quantiles, per-socket fairness, composition, fleet pooling
-  (:mod:`.slo` remains as a back-compat alias);
+  quantiles, per-socket fairness, composition, fleet pooling;
 * :mod:`.canary` — subset install, watch windows, promote/rollback;
 * :mod:`.journal` — the crash-safe policy journal (append-only JSONL);
 * :mod:`.daemon` — :class:`Concordd`, tying it together per kernel,
@@ -70,7 +69,6 @@ from .guards import (
     GuardVerdict,
     LockDelta,
     SLOGuard,
-    SLOVerdict,
     TailWaitGuard,
     WaveDriftGuard,
     pool_reports,
@@ -119,7 +117,6 @@ __all__ = [
     "GuardVerdict",
     "LockDelta",
     "SLOGuard",
-    "SLOVerdict",
     "TailWaitGuard",
     "WaveDriftGuard",
     "pool_reports",

@@ -236,5 +236,5 @@ class BaselineGuard(Guard):
                     )
         ok = True if self.dry_run else not breaches
         return GuardVerdict(
-            ok=ok, breaches=breaches, deltas=deltas, ready=judged > 0, missing=missing
+            ok=ok, attributed=breaches, deltas=deltas, ready=judged > 0, missing=missing
         )

@@ -41,7 +41,6 @@ __all__ = [
     "Breach",
     "Guard",
     "GuardVerdict",
-    "SLOVerdict",
     "LockDelta",
     "SLOGuard",
     "TailWaitGuard",
@@ -133,28 +132,24 @@ class LockDelta(NamedTuple):
 class GuardVerdict:
     """A guard's decision plus everything needed to explain it.
 
-    ``breaches`` remains a list of human-readable strings (the shape
-    every existing caller iterates); the typed :class:`Breach` objects
-    live in :attr:`attributed`.  ``missing`` names canary locks that
-    had no baseline counterpart — they cannot be judged, and silently
-    dropping them would let a selector typo pass as "within budget".
+    :attr:`attributed` holds the typed :class:`Breach` objects (their
+    ``str`` is the human-readable text).  ``missing`` names canary locks
+    that had no baseline counterpart — they cannot be judged, and
+    silently dropping them would let a selector typo pass as "within
+    budget".
     """
 
     def __init__(
         self,
         ok: bool,
-        breaches: Iterable,
+        attributed: Iterable[Breach],
         deltas: List[LockDelta],
         ready: bool,
         missing: Optional[List[str]] = None,
     ) -> None:
         self.ok = ok
-        breaches = list(breaches)
-        #: typed per-lock attribution (everything constructed by this
-        #: module; plain strings from legacy callers are kept only in
-        #: :attr:`breaches`).
-        self.attributed: List[Breach] = [b for b in breaches if isinstance(b, Breach)]
-        self.breaches: List[str] = [str(b) for b in breaches]
+        #: typed per-lock attribution of every breach
+        self.attributed: List[Breach] = list(attributed)
         self.deltas = deltas
         #: enough samples to be trusted? (mid-run snapshots start cold)
         self.ready = ready
@@ -172,14 +167,13 @@ class GuardVerdict:
             return "slo: insufficient canary samples, verdict deferred" + note
         if self.ok:
             return "slo: within budget" + note
-        return "slo breach: " + "; ".join(self.breaches) + note
+        return "slo breach: " + "; ".join(str(b) for b in self.attributed) + note
 
     def __repr__(self) -> str:
-        return f"SLOVerdict(ok={self.ok}, ready={self.ready}, breaches={len(self.breaches)})"
-
-
-#: Back-compat name: the verdict class predates the guard family.
-SLOVerdict = GuardVerdict
+        return (
+            f"GuardVerdict(ok={self.ok}, ready={self.ready}, "
+            f"breaches={len(self.attributed)})"
+        )
 
 
 def _lock_deltas(

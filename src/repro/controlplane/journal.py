@@ -10,8 +10,7 @@ simulation maps to a host path (or to memory for tests).
 
 Integrity: every line is framed by :mod:`repro.storage.record` — a v2
 envelope carrying a CRC32 and a monotonic sequence number — so replay
-distinguishes a torn write from silent rot; journals written before the
-framing (v1, bare entry dicts) read transparently.  :meth:`compact`
+distinguishes a torn write from silent rot.  :meth:`compact`
 folds the whole committed log into a checksummed snapshot beside the
 file (``<path>.snapshot``) and truncates the log; replay then walks
 snapshot + tail and reconstructs exactly what the uncompacted log
@@ -120,7 +119,9 @@ class PolicyJournal:
         #: each time was O(file) per call.
         self._cache: Optional[List[Dict[str, Any]]] = None
         self._cache_sig: Optional[Tuple[int, int, int, int]] = None
-        self._next_seq: Optional[int] = 1 if path is None else None
+        #: The next sequence number to claim; 0 until a file-backed
+        #: journal has read the file's high-water mark.
+        self._next_seq = 1 if path is None else 0
         if path is not None:
             directory = os.path.dirname(path)
             if directory:
@@ -255,7 +256,7 @@ class PolicyJournal:
             parsed, last_seq = self._load()
             self._cache = parsed
             self._cache_sig = sig
-            self._next_seq = max(self._next_seq or 1, last_seq + 1)
+            self._next_seq = max(self._next_seq, last_seq + 1)
         return self._cache
 
     def _sig(self) -> Tuple[int, int, int, int]:
@@ -269,7 +270,7 @@ class PolicyJournal:
         return stat(self.path) + stat(self.snapshot_path)
 
     def _claim_seq(self) -> int:
-        if self._next_seq is None:
+        if not self._next_seq:
             self._refresh()
         seq = self._next_seq
         self._next_seq = seq + 1
@@ -316,17 +317,16 @@ class PolicyJournal:
                     line=lineno,
                     member=self.member,
                 ) from None
-            if seq is not None:
-                if seq <= prev_seq:
-                    raise JournalCorruption(
-                        f"{self.path}: journal line {lineno}{self._member_tag()}: "
-                        f"seq {seq} does not advance past {prev_seq} "
-                        f"(not a torn write — sequence numbers only grow)",
-                        path=self.path,
-                        line=lineno,
-                        member=self.member,
-                    )
-                prev_seq = seq
+            if seq <= prev_seq:
+                raise JournalCorruption(
+                    f"{self.path}: journal line {lineno}{self._member_tag()}: "
+                    f"seq {seq} does not advance past {prev_seq} "
+                    f"(not a torn write — sequence numbers only grow)",
+                    path=self.path,
+                    line=lineno,
+                    member=self.member,
+                )
+            prev_seq = seq
             parsed.append(entry)
         return parsed, prev_seq
 
@@ -349,7 +349,7 @@ class PolicyJournal:
         if self.path is None:
             self._memory = [dict(entry) for entry in folded]
             return {"before": len(before), "after": len(folded)}
-        last_seq = (self._next_seq or 1) - 1
+        last_seq = self._next_seq - 1
         blob = encode_snapshot(folded, last_seq)
         blob = maybe_corrupt(
             SITE_STORAGE_CORRUPT_SNAPSHOT,
@@ -408,7 +408,7 @@ class PolicyJournal:
                     continue
                 try:
                     seq, entry = decode_record(line)
-                    if seq is not None and seq <= prev_seq:
+                    if seq <= prev_seq:
                         raise RecordCorruption(
                             f"seq {seq} does not advance past {prev_seq}"
                         )
@@ -419,8 +419,7 @@ class PolicyJournal:
                         1 for rest in lines[lineno - 1 :] if rest.strip()
                     )
                     break
-                if seq is not None:
-                    prev_seq = seq
+                prev_seq = seq
                 parsed.append(entry)
                 good_lines.append(line)
             if bad_line is not None:

@@ -261,7 +261,7 @@ class PolicyRecord:
         self.patches: List[object] = []  # LivePatch per canary impl switch
         self.baseline_report = None
         self.canary_report = None
-        self.verdict = None  # final SLOVerdict
+        self.verdict = None  # final GuardVerdict
         self.error: Optional[str] = None
 
     def transition(self, to: PolicyState, cause: str, audit: AuditLog, now_ns: int) -> None:

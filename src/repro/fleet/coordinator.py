@@ -186,20 +186,16 @@ class FleetCoordinator:
             unreachable without attempting the call.
         member_retries: how many times an unreachable member call is
             retried (on top of the first attempt) before the member is
-            declared lost.  Epoch fences are never retried.
-        retry_backoff_ns: base of the exponential backoff between
-            retries (the member's own kernel is run forward — waiting
-            out a transient partition costs simulated time, not host
-            time).
-        fabric: optional :class:`~repro.netsim.Fabric` every member
-            call traverses (``client_id`` → kernel name).  A partitioned
+            declared lost.  Epoch fences are never retried.  Retries
+            back off exponentially from 20 µs (the member's own kernel
+            is run forward — waiting out a transient partition costs
+            simulated time, not host time).
+        fabric: the :class:`~repro.netsim.Fabric` every member call
+            traverses (``client_id`` → kernel name).  A partitioned
             link raises into the retry envelope as unreachable; delivery
-            latency runs the member's kernel forward.  ``None`` — the
-            default — keeps the legacy direct-call behaviour.
-        envelope: optional pre-built :class:`~repro.netsim.RpcEnvelope`;
-            by default one is assembled from ``member_retries`` /
-            ``retry_backoff_ns`` / ``rpc_timeout_ns`` / ``rpc_deadline_ns``
-            / ``rpc_jitter_seed``.
+            latency runs the member's kernel forward.  Defaults to a
+            private fabric of its own, which draws no randomness and
+            adds no delay.
         rpc_timeout_ns: per-attempt delay budget — an attempt whose
             observed delay (fabric latency + injected stalls) exceeds it
             counts as unreachable for that attempt.
@@ -248,7 +244,6 @@ PlacementRefresher`; consulted after each completed wave.  When it
         client_id: str = "fleet-coordinator",
         health=None,
         member_retries: int = 1,
-        retry_backoff_ns: int = 20_000,
         plan_append_retries: int = 3,
         debt_drain_retries: int = 3,
         pooled_guard: Optional[Guard] = None,
@@ -257,7 +252,6 @@ PlacementRefresher`; consulted after each completed wave.  When it
         refresher=None,
         planner=None,
         fabric: Optional[Fabric] = None,
-        envelope: Optional[RpcEnvelope] = None,
         rpc_timeout_ns: Optional[int] = None,
         rpc_deadline_ns: Optional[int] = None,
         rpc_jitter_seed: int = 0,
@@ -267,13 +261,11 @@ PlacementRefresher`; consulted after each completed wave.  When it
         self.client_id = client_id
         self.health = health
         self.member_retries = member_retries
-        self.retry_backoff_ns = retry_backoff_ns
         self.plan_append_retries = plan_append_retries
         self.debt_drain_retries = debt_drain_retries
-        self.fabric = fabric
-        self.envelope = envelope or RpcEnvelope(
+        self.fabric = fabric or Fabric()
+        self.envelope = RpcEnvelope(
             retries=member_retries,
-            backoff_ns=retry_backoff_ns,
             timeout_ns=rpc_timeout_ns,
             deadline_ns=rpc_deadline_ns,
             seed=rpc_jitter_seed,
@@ -391,14 +383,12 @@ PlacementRefresher`; consulted after each completed wave.  When it
             op=op,
         )
         member = self.fleet.member(kernel)
-        delay = stall
-        if self.fabric is not None:
-            try:
-                delay += self.fabric.deliver(
-                    self.client_id, kernel, op=op, now_ns=member.kernel.now
-                )
-            except NetError as exc:
-                raise MemberUnreachable(f"network: {exc}") from exc
+        try:
+            delay = stall + self.fabric.deliver(
+                self.client_id, kernel, op=op, now_ns=member.kernel.now
+            )
+        except NetError as exc:
+            raise MemberUnreachable(f"network: {exc}") from exc
         if delay and self.envelope.timed_out(delay):
             # The caller stops waiting at the timeout — it never
             # observes the rest of the delay.
@@ -957,7 +947,7 @@ PlacementRefresher`; consulted after each completed wave.  When it
         self._journal({"event": "reinstate", "kernel": name, "epoch": member.epoch})
         return member
 
-    def drain_debt(self, backoff_ns: Optional[int] = None) -> List[Dict[str, object]]:
+    def drain_debt(self) -> List[Dict[str, object]]:
         """Retry every outstanding revert whose member is back in
         service; returns the entries drained.
 
@@ -966,7 +956,6 @@ PlacementRefresher`; consulted after each completed wave.  When it
         member is still quarantined or gone stay booked — the journal
         keeps them across coordinator restarts.
         """
-        backoff_ns = backoff_ns or self.retry_backoff_ns
         drained: List[Dict[str, object]] = []
         for entry in list(self.debt):
             kernel = str(entry["kernel"])
@@ -990,8 +979,7 @@ PlacementRefresher`; consulted after each completed wave.  When it
                     failure = exc
                     if attempt < self.debt_drain_retries:
                         member.kernel.run(
-                            until=member.kernel.now
-                            + self.envelope.backoff(attempt, base_ns=backoff_ns)
+                            until=member.kernel.now + self.envelope.backoff(attempt)
                         )
             if failure is None:
                 self.debt.remove(entry)

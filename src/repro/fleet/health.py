@@ -113,11 +113,12 @@ class HealthMonitor:
             ``scrub_every`` rounds and unhealed findings count as
             failed probes.
         scrub_every: scrub cadence, in :meth:`probe_all` rounds.
-        fabric: optional :class:`~repro.netsim.Fabric` probes traverse
-            (``endpoint`` → member / site name).  A partitioned link is
-            a failed probe — which is the point: a monitor on the wrong
-            side of a partition walks the member to DEAD exactly as an
-            external watchdog would, however alive the member is.
+        fabric: the :class:`~repro.netsim.Fabric` probes traverse
+            (``endpoint`` → member / site name); a private one by
+            default.  A partitioned link is a failed probe — which is
+            the point: a monitor on the wrong side of a partition walks
+            the member to DEAD exactly as an external watchdog would,
+            however alive the member is.
         endpoint: the monitor's own name on the fabric.
     """
 
@@ -151,7 +152,7 @@ class HealthMonitor:
             raise FleetError(f"scrub_every must be >= 1, got {scrub_every}")
         self.scrubber = scrubber
         self.scrub_every = scrub_every
-        self.fabric = fabric
+        self.fabric = fabric or Fabric()
         self.endpoint = endpoint
         self._rounds = 0
         self._history: Dict[str, Deque[ProbeRecord]] = {}
@@ -301,11 +302,10 @@ class HealthMonitor:
             if getattr(site, "down_partitioned", False):
                 return False, "site down (partitioned, log intact)"
             return False, "site down"
-        if self.fabric is not None:
-            try:
-                self.fabric.deliver(self.endpoint, site.name, op="site-probe")
-            except NetError as exc:
-                return False, f"site partitioned: {exc}"
+        try:
+            self.fabric.deliver(self.endpoint, site.name, op="site-probe")
+        except NetError as exc:
+            return False, f"site partitioned: {exc}"
         try:
             fault_point(
                 SITE_REPLICATION_READ,
@@ -337,15 +337,14 @@ class HealthMonitor:
             # The probe window elapsed but the member's clock never
             # moved: a wedged kernel, reported as such.
             return False, f"probe: clock frozen for {stall}ns", when, epoch
-        if self.fabric is not None:
-            try:
-                latency = self.fabric.deliver(
-                    self.endpoint, name, op="probe", now_ns=member.kernel.now
-                )
-            except NetError as exc:
-                return False, f"probe: partitioned: {exc}", when, epoch
-            if latency:
-                member.kernel.run(until=member.kernel.now + latency)
+        try:
+            latency = self.fabric.deliver(
+                self.endpoint, name, op="probe", now_ns=member.kernel.now
+            )
+        except NetError as exc:
+            return False, f"probe: partitioned: {exc}", when, epoch
+        if latency:
+            member.kernel.run(until=member.kernel.now + latency)
         try:
             member.daemon.ping()
         except ControlPlaneError as exc:

@@ -71,10 +71,10 @@ class RpcEnvelope:
         self._rng = Random(seed)
 
     # ------------------------------------------------------------------
-    def backoff(self, attempt: int, base_ns: Optional[int] = None) -> int:
+    def backoff(self, attempt: int) -> int:
         """The wait before retry ``attempt + 1``: exponential in the
         attempt number, plus one seeded jitter draw."""
-        wait = (base_ns or self.backoff_ns) * (2 ** (attempt - 1))
+        wait = self.backoff_ns * (2 ** (attempt - 1))
         if self.jitter_ns:
             wait += self._rng.randint(0, self.jitter_ns)
         return wait

@@ -9,11 +9,11 @@ destination's clock) or a :class:`~repro.netsim.errors.NetError`.
 Links are *directed* and lazily created, so a freshly constructed
 ``Fabric()`` is the identity network — every endpoint connected to
 every other at zero latency, no drops, no reordering.  That default is
-load-bearing: components take an optional fabric and behave
-byte-identically with a flat one, because a flat fabric draws no
-randomness and adds no delay.  Partitions, latency models, chaos
-faults, and schedules only change behaviour once someone configures
-them.
+load-bearing: a component not handed a fabric makes itself a private
+flat one, so every cross-member call takes one code path, and a flat
+fabric draws no randomness and adds no delay.  Partitions, latency
+models, chaos faults, and schedules only change behaviour once someone
+configures them.
 
 **Partitions.**  :meth:`Fabric.partition` cuts the links between named
 groups; with ``asymmetric=True`` the first group still *hears* the

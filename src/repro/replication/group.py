@@ -83,12 +83,11 @@ class ReplicaGroup:
         on_failover: optional ``callback(group)`` fired after every
             election that moves leadership — the fleet layer's hook for
             surfacing failovers (journal events, metrics).
-        fabric: optional :class:`~repro.netsim.Fabric` replication
-            traffic traverses — appends and reads as ``<name>`` →
-            ``<site>``, catch-up and repair as leader/donor → casualty.
-            A partitioned link marks the site DOWN *partitioned* (log
-            intact) rather than failed; ``None`` keeps the legacy
-            direct-call behaviour.
+        fabric: the :class:`~repro.netsim.Fabric` replication traffic
+            traverses — appends and reads as ``<name>`` → ``<site>``,
+            catch-up and repair as leader/donor → casualty; a private
+            one by default.  A partitioned link marks the site DOWN
+            *partitioned* (log intact) rather than failed.
     """
 
     def __init__(
@@ -105,7 +104,7 @@ class ReplicaGroup:
             ReplicaSite(f"{name}/site{index}") for index in range(nr_sites)
         ]
         self.on_failover = on_failover
-        self.fabric = fabric
+        self.fabric = fabric or Fabric()
         self.leader: ReplicaSite = self.sites[0]
         #: Monotonic lease epoch: bumped by every election and fenced
         #: forward by member restarts (:meth:`fence`).
@@ -200,11 +199,10 @@ class ReplicaGroup:
         return seq
 
     def _traverse(self, site: ReplicaSite, op: str) -> None:
-        """Cross the fabric to ``site`` (no-op without one).  Latency is
-        ignored — replication time is not modelled here — but a
-        partitioned or dropping link raises :class:`NetError` through."""
-        if self.fabric is not None:
-            self.fabric.deliver(self.name, site.name, op=op)
+        """Cross the fabric to ``site``.  Latency is ignored —
+        replication time is not modelled here — but a partitioned or
+        dropping link raises :class:`NetError` through."""
+        self.fabric.deliver(self.name, site.name, op=op)
 
     def _catch_up(self, site: ReplicaSite) -> None:
         """Ship the committed state ``site`` missed (from the leader,
@@ -224,7 +222,7 @@ class ReplicaGroup:
         ]
         if not ship_base and not missing:
             return
-        if self.fabric is not None and site is not self.leader:
+        if site is not self.leader:
             # The shipped state travels leader → casualty, a different
             # edge than the group's own append path.
             self.fabric.deliver(self.leader.name, site.name, op="catch-up")
@@ -237,8 +235,7 @@ class ReplicaGroup:
         if ship_base:
             site.install_snapshot(self.leader.base, self.leader.base_seq)
         for seq in missing:
-            raw = self.leader.log[seq]
-            site.log[seq] = dict(raw) if isinstance(raw, dict) else raw
+            site.log[seq] = self.leader.log[seq]
         if missing:
             site.mark_committed(missing[-1])
 
@@ -358,7 +355,7 @@ class ReplicaGroup:
             (p for p in donors if p is self.leader),
             sorted(donors, key=lambda p: p.name)[0],
         )
-        if self.fabric is not None and source is not site:
+        if source is not site:
             try:
                 self.fabric.deliver(source.name, site.name, op="repair")
             except NetError as exc:
@@ -369,9 +366,7 @@ class ReplicaGroup:
         site.base = source.base
         site.base_seq = source.base_seq
         site.log = {
-            seq: (dict(raw) if isinstance(raw, dict) else raw)
-            for seq, raw in source.log.items()
-            if seq <= self.commit_index
+            seq: raw for seq, raw in source.log.items() if seq <= self.commit_index
         }
         site.commit_index = self.commit_index
         site.lease_epoch_seen = max(site.lease_epoch_seen, self.lease_epoch)

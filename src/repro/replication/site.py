@@ -28,8 +28,7 @@ stored record at append time.  Reads decode and verify; a record that
 fails its checksum raises :class:`SiteCorrupt` — deliberately *not* a
 :class:`SiteFault`, because the right response to detected rot is not
 "mark the site dead" but "rebuild this copy from quorum peers"
-(:meth:`ReplicaGroup.repair_site`).  Raw dict values are tolerated as
-legacy (v1) records with nothing to verify.
+(:meth:`ReplicaGroup.repair_site`).
 """
 
 from __future__ import annotations
@@ -121,9 +120,9 @@ class ReplicaSite:
         #: False from recovery until the first post-recovery committed
         #: write lands (True for a site that never failed).
         self.readable = True
-        #: seq -> framed record line (v2 envelope; raw dicts tolerated
-        #: as legacy v1 records).  Durable: survives failure.
-        self.log: Dict[int, Any] = {}
+        #: seq -> framed record line (v2 envelope).  Durable: survives
+        #: failure.
+        self.log: Dict[int, str] = {}
         #: Compacted prefix: a checksummed snapshot blob folding every
         #: entry up to ``base_seq`` (None until the group compacts).
         self.base: Optional[str] = None
@@ -180,16 +179,13 @@ class ReplicaSite:
 
     def entry(self, seq: int) -> Dict[str, Any]:
         """Decode and verify the record stored at ``seq``."""
-        raw = self.log[seq]
-        if isinstance(raw, dict):
-            return dict(raw)  # legacy v1 record: nothing to verify
         try:
-            got, payload = decode_record(raw)
+            got, payload = decode_record(self.log[seq])
         except RecordCorruption as exc:
             raise SiteCorrupt(
                 f"site {self.name}: record at seq {seq} is corrupt: {exc}"
             ) from None
-        if got is not None and got != seq:
+        if got != seq:
             raise SiteCorrupt(
                 f"site {self.name}: record at seq {seq} claims seq {got}"
             )

@@ -5,8 +5,8 @@ halt-and-revert, quorum commits) used to *trust* its bytes; this
 package makes the trust earned:
 
 * :mod:`repro.storage.record` — every durable record framed with a
-  CRC32 + monotonic sequence number (v2 envelope; v1 legacy lines read
-  transparently), plus the ``storage.corrupt.*`` bit-flip injection;
+  CRC32 + monotonic sequence number (the v2 envelope, the only record
+  format), plus the ``storage.corrupt.*`` bit-flip injection;
 * :mod:`repro.storage.snapshot` — checkpoint/compaction: fold the
   committed prefix into a checksummed snapshot, replay snapshot + tail;
 * :mod:`repro.storage.scrub` — the :class:`Scrubber`: checksum scrub,

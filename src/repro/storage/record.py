@@ -8,14 +8,9 @@ the payload, a monotonic sequence number, and a CRC32 computed over
 to the payload, so neither a flipped payload byte nor a record replayed
 at the wrong position verifies.
 
-v1 (legacy) lines — plain JSON entry dicts with no envelope — decode
-transparently: :func:`decode_record` returns them with ``seq=None`` and
-no checksum to verify, which is exactly the trust level they were
-written at.  The envelope fingerprint (``crc``/``v``, or ``seq`` *and*
-``d`` together) decides which format a line claims to be; a v2 line
-whose single flipped byte mangles even the fingerprint keys still
-carries the remaining markers, so it is validated strictly and the flip
-is caught rather than being mistaken for a legacy record.
+v2 is the only format: a line that does not decode as a valid v2
+envelope — a bare JSON entry dict included — is corruption, never a
+record of some older kind.
 
 Bit-flip fault injection lives here too: :func:`maybe_corrupt` consults
 the ``storage.corrupt.*`` sites and, when a rule fires, flips one byte
@@ -27,7 +22,7 @@ from __future__ import annotations
 
 import json
 import zlib
-from typing import Any, Dict, Iterable, Optional, Tuple
+from typing import Any, Dict, Iterable, Tuple
 
 from ..faults import fault_point
 
@@ -43,7 +38,7 @@ __all__ = [
     "record_crc",
 ]
 
-#: Current on-disk record format.  v1 is an unframed JSON entry line.
+#: The on-disk record format.
 RECORD_VERSION = 2
 
 
@@ -75,18 +70,9 @@ def encode_record(seq: int, entry: Dict[str, Any]) -> str:
     )
 
 
-def _claims_envelope(obj: Dict[str, Any]) -> bool:
-    # A single byte flip can mangle at most one envelope key, so a v2
-    # record always retains enough fingerprint to be validated strictly.
-    return "crc" in obj or "v" in obj or ("seq" in obj and "d" in obj)
-
-
-def decode_record(line: str) -> Tuple[Optional[int], Dict[str, Any]]:
-    """Parse one record line -> ``(seq, entry)``.
-
-    v1 legacy lines return ``(None, entry)``; anything claiming the v2
-    envelope is validated strictly and raises :class:`RecordCorruption`
-    on any deviation.
+def decode_record(line: str) -> Tuple[int, Dict[str, Any]]:
+    """Parse one record line -> ``(seq, entry)``, validated strictly:
+    any deviation from the v2 envelope raises :class:`RecordCorruption`.
     """
     try:
         obj = json.loads(line)
@@ -94,8 +80,6 @@ def decode_record(line: str) -> Tuple[Optional[int], Dict[str, Any]]:
         raise RecordCorruption("unparseable record (not JSON)") from None
     if not isinstance(obj, dict):
         raise RecordCorruption("record is not a JSON object")
-    if not _claims_envelope(obj):
-        return None, obj  # v1: a bare entry dict, written before checksums
     seq = obj.get("seq")
     entry = obj.get("d")
     if (

@@ -176,8 +176,6 @@ class Scrubber:
                     )
                     continue
                 checked += 1
-                if seq is None:
-                    continue  # v1 legacy line: nothing to verify
                 if seq <= prev_seq:
                     findings.append(
                         ScrubFinding(
@@ -248,17 +246,14 @@ class Scrubber:
         for seq in sorted(site.log):
             if seq > commit_index:
                 continue  # uncommitted residue; election truncates it
-            raw = site.log[seq]
-            if isinstance(raw, dict):
-                continue  # legacy in-memory record: no checksum to verify
             try:
-                got, _ = decode_record(raw)
+                got, _ = decode_record(site.log[seq])
             except RecordCorruption as exc:
                 findings.append(
                     ScrubFinding(target=site.name, kind="record", detail=str(exc), seq=seq)
                 )
                 continue
-            if got is not None and got != seq:
+            if got != seq:
                 findings.append(
                     ScrubFinding(
                         target=site.name,

@@ -14,8 +14,8 @@ from repro.fleet import FleetManager, PlacementMap
 from repro.kernel import Kernel
 from repro.locks import ShflLock
 from repro.locks.base import HOOK_LOCK_ACQUIRED
+from repro.scenarios import bad_numa_submission
 from repro.sim import Topology, ops
-from repro.tools.concordd import bad_numa_submission
 
 WORKLOAD_NS = 6_000_000
 WINDOW_NS = 200_000

@@ -159,7 +159,7 @@ class TestBaselineGuard:
         guard = BaselineGuard(self._learned(), dry_run=False)
         verdict = guard.evaluate(_report([_profile()]), _report([_profile()]))
         assert verdict.ok
-        assert not verdict.breaches
+        assert not verdict.attributed
 
     def test_abstains_with_no_learned_state(self):
         guard = BaselineGuard(LearnedBaseline(), dry_run=False)

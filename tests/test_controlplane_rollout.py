@@ -22,8 +22,8 @@ from repro.controlplane import (
 from repro.kernel import Kernel
 from repro.locks import ShflLock, SpinParkMutex
 from repro.locks.base import HOOK_CMP_NODE
+from repro.scenarios import bad_numa_submission
 from repro.sim import Topology, ops
-from repro.tools.concordd import bad_numa_submission
 from repro.userspace import PolicyClient
 
 RETURN_ZERO = "def f(ctx):\n    return 0\n"
@@ -100,7 +100,7 @@ class TestRollbackUnderContention:
 
         assert record.state is PolicyState.ROLLED_BACK
         assert record.verdict.ready and not record.verdict.ok
-        assert any("avg wait regressed" in b for b in record.verdict.breaches)
+        assert any("avg wait regressed" in str(b) for b in record.verdict.attributed)
         # The guard tripped inside the canary window, not at its end.
         cause = daemon.audit.for_policy("molasses")[-1].cause
         assert "mid-benchmark" in cause

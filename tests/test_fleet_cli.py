@@ -1,25 +1,17 @@
 """The ``concordd fleet`` scenario and the ``--kernels`` flag.
 
-Two contracts live here: the fleet acceptance run (three kernels, two
-waves, halt-and-revert, mid-wave crash recovery) exits 0, and adding
-``--kernels`` to the existing ``rollout``/``drill`` scenarios leaves
-the single-kernel output byte-identical — N=1 stays the default and
-prints exactly what it printed before the flag existed.
+Two contracts live here: the fleet acceptance runs (halt-and-revert,
+mid-wave crash recovery, member death) exit 0 with their journals on
+disk and refuse fleets too small to mean anything, and ``--kernels``
+on the ``rollout``/``drill`` scenarios leaves the single-kernel output
+byte-identical — N=1 stays the default and prints no per-kernel
+headers.  Each scenario's stdout is pinned by
+``tests/test_scenario_golden.py``.
 """
-
-import pytest
 
 from repro.tools import concordd
 
-ROLLOUT_ARGS = [
-    "rollout",
-    "--locks",
-    "2",
-    "--tasks-per-lock",
-    "4",
-    "--duration-ms",
-    "2",
-]
+ROLLOUT_ARGS = ["rollout", "--duration-ms", "2"]
 
 
 def test_fleet_scenario_passes(capsys, tmp_path):
@@ -32,22 +24,7 @@ def test_fleet_scenario_passes(capsys, tmp_path):
             str(tmp_path),
         ]
     )
-    out = capsys.readouterr().out
-    assert code == 0, out
-    assert "fleet of 3 kernels" in out
-    # Two waves, quiet kernel canaries first.
-    assert "wave 0 (canary): k0" in out
-    assert "wave 1 (cohort): k1, k2" in out
-    # Phase 1: the cross-kernel breach halts and reverts.
-    assert "FAIL" in out and "HALTED" in out
-    assert "[ok] every patched kernel reverted to stock" in out
-    # Phase 2: fleet-wide ACTIVE.
-    assert "[ok] numa-good ACTIVE on every kernel" in out
-    # Phase 3: crash between waves, journal-driven resume.
-    assert "[ok] recovery resumed from wave 1 (completed wave trusted)" in out
-    assert "[ok] steady ACTIVE on every kernel — no split fleet" in out
-    assert "[FAIL]" not in out
-    assert "fleet scenario passed" in out
+    assert code == 0, capsys.readouterr().out
     # The journals the recovery read are real files on disk.
     assert (tmp_path / "fleet.jsonl").exists()
     assert (tmp_path / "journal.k0.jsonl").exists()
@@ -63,29 +40,12 @@ def test_fleet_degraded_scenario_passes(capsys, tmp_path):
         [
             "fleet-degraded",
             "--duration-ms",
-            "8",
+            "4",
             "--journal-dir",
             str(tmp_path),
         ]
     )
-    out = capsys.readouterr().out
-    assert code == 0, out
-    assert "fleet of 4 kernels" in out
-    # Phase 1: liveness probes.
-    assert "[ok] all 4 members probe HEALTHY" in out
-    assert "[ok] every member heartbeat reached its own journal shard" in out
-    # Phase 2: any-breach halts, the victim is quarantined with debt.
-    assert "[ok] any-breach verdict HALTED the rollout" in out
-    assert "[ok] member-dead, quarantine, and revert-debt all journaled" in out
-    assert "[ok] every reachable kernel converged to stock" in out
-    # Phase 3: reinstate + recover drains the journaled debt.
-    assert "[ok] revert debt drained after reinstatement" in out
-    assert "reinstated at a higher epoch" in out
-    # Phase 4: quorum completes degraded, then the fleet heals.
-    assert "[ok] quorum (0.5) completed the rollout degraded" in out
-    assert "[ok] healed fleet: fresh rollout ACTIVE on every kernel" in out
-    assert "[FAIL]" not in out
-    assert "fleet-degraded scenario passed" in out
+    assert code == 0, capsys.readouterr().out
     assert (tmp_path / "fleet.jsonl").exists()
 
 

@@ -30,6 +30,7 @@ from repro.replication import (
     StaleLeaderFenced,
     TxnStatus,
 )
+from repro.storage import encode_record
 
 
 def entry(n):
@@ -108,7 +109,8 @@ class TestFailover:
         group = ReplicaGroup("m")
         group.append(entry(1))
         survivor = group.sites[1]
-        survivor.log[2] = {"kind": "ghost"}  # ack of a write that never reached quorum
+        # An ack of a write that never reached quorum:
+        survivor.log[2] = encode_record(2, {"kind": "ghost"})
         group.fail_site(group.leader.name)
         assert group.leader is survivor  # longest log wins the election
         assert 2 not in survivor.log

@@ -78,10 +78,6 @@ class TestRecordFraming:
         entry = {"kind": "client", "client": "ops", "n": 3}
         assert decode_record(encode_record(7, entry)) == (7, entry)
 
-    def test_legacy_v1_lines_decode_with_no_seq(self):
-        entry = {"kind": "client", "client": "ops"}
-        assert decode_record(json.dumps(entry)) == (None, entry)
-
     def test_every_single_byte_flip_is_detected(self):
         line = encode_record(3, sample_entries()[1])
         for offset in range(len(line)):
@@ -145,18 +141,25 @@ class TestJournalIntegrity:
             seqs = [decode_record(line)[0] for line in fh if line.strip()]
         assert seqs == list(range(1, len(sample_entries()) + 1))
 
-    def test_legacy_v1_journal_reads_transparently(self, tmp_path):
+    def test_bare_dict_mid_journal_is_corruption(self, tmp_path):
+        # v2 framing is the only record format: an unframed JSON entry
+        # is rot, never a record to take at face value.
+        bare = json.dumps({"kind": "client", "client": "ghost"})
+        with pytest.raises(RecordCorruption):
+            decode_record(bare)
         path = str(tmp_path / "journal.jsonl")
-        legacy = [{"kind": "client", "client": "a"}, {"kind": "client", "client": "b"}]
-        with open(path, "w") as fh:
-            fh.writelines(json.dumps(e) + "\n" for e in legacy)
         journal = PolicyJournal(path)
-        assert journal.entries() == legacy
-        journal.append({"kind": "heartbeat", "member": "k0", "ts": 1})
-        assert len(PolicyJournal(path).entries()) == 3
+        for entry in sample_entries()[:3]:
+            journal.append(entry)
+        journal.close()
         with open(path) as fh:
-            last = [line for line in fh if line.strip()][-1]
-        assert decode_record(last)[0] == 1  # new line is framed v2
+            lines = fh.readlines()
+        lines.insert(1, bare + "\n")
+        with open(path, "w") as fh:
+            fh.writelines(lines)
+        with pytest.raises(JournalCorruption) as excinfo:
+            PolicyJournal(path).entries()
+        assert excinfo.value.line == 2 and "line 2" in str(excinfo.value)
 
     def test_corruption_error_names_line_path_and_member(self, tmp_path):
         path = str(tmp_path / "k1.jsonl")

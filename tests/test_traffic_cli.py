@@ -4,7 +4,9 @@ The contract: the same benign policy, seed, tenants, and budgets reach
 *opposite* pooled-guard verdicts depending only on the load schedule —
 COMPLETE under the steady trace, HALTED with a journaled, attributed
 pooled breach under the burst trace — and the Malthusian sweep shows a
-real knee.  That is the load-dependent-verdict acceptance criterion.
+real knee.  The scenario's checks pin that (its stdout is compared byte
+for byte by ``tests/test_scenario_golden.py``); here, its exit code and
+journal files.
 """
 
 from repro.tools import concordd
@@ -12,21 +14,7 @@ from repro.tools import concordd
 
 def test_traffic_scenario_passes(capsys, tmp_path):
     code = concordd.main(["traffic", "--journal-dir", str(tmp_path)])
-    out = capsys.readouterr().out
-    assert code == 0, out
-    # Phase 1: the knee is where the model predicts, and real.
-    assert "[ok] knee lands where the model predicts" in out
-    assert "[ok] throughput collapses past the knee" in out
-    # Phase 2: steady load clears the pooled guard.
-    assert "[ok] steady-load wave COMPLETEs" in out
-    assert "[ok] policy ACTIVE on every kernel under steady load" in out
-    # Phase 3: the same policy is halted under burst with attribution.
-    assert "[ok] burst-load wave HALTED by the pooled verdict" in out
-    assert "[ok] halt cause is the pooled breach" in out
-    assert "[ok] every kernel reverted to stock after the halt" in out
-    assert "[ok] fleet journal records the attributed pooled-breach event" in out
-    assert "[FAIL]" not in out
-    assert "traffic scenario PASSED" in out
+    assert code == 0, capsys.readouterr().out
     # Both fleets journaled to real files.
     assert (tmp_path / "fleet.steady.jsonl").exists()
     assert (tmp_path / "fleet.burst.jsonl").exists()

@@ -83,7 +83,9 @@ class CacheModel:
 
     The engine is the only caller.  Methods return ``(finish_time,
     result, rechecks)`` where *rechecks* lists ``(waiter, at_time)``
-    pairs the engine must schedule.
+    pairs the engine must schedule.  Costs come from the topology's
+    socket tables; a transfer counts as remote when the two sockets are
+    more than 0 hops apart.
     """
 
     def __init__(self, topology: Topology, stats: StatsRegistry) -> None:
@@ -93,71 +95,73 @@ class CacheModel:
         self._c_transfer = stats.counter("cache.transfers")
         self._c_remote = stats.counter("cache.remote_transfers")
         self._c_atomics = stats.counter("cache.atomics")
-
-    # ------------------------------------------------------------------
-    # Cost helpers
-    # ------------------------------------------------------------------
-    def _read_cost(self, cpu: int, cell: Cell) -> int:
-        lat = self.topology.latency
-        if cell.owner == cpu or cpu in cell.sharers:
-            self._c_local.inc()
-            return lat.l1_hit
-        if cell.owner is None:
-            self._c_local.inc()
-            return lat.l1_hit
-        cost = self.topology.transfer_ns(cell.owner, cpu)
-        self._c_transfer.inc()
-        if self.topology.hops(cell.owner, cpu) > 0:
-            self._c_remote.inc()
-        return cost
-
-    def _own_cost(self, cpu: int, cell: Cell) -> int:
-        """Cost to gain exclusive ownership of the line.
-
-        Pays the dirty-line transfer from the current owner and, when
-        other CPUs hold shared copies, the invalidation round-trip to
-        the farthest sharer — writing a widely-shared line is expensive
-        even for its owner (the ticket-lock release broadcast).
-        """
-        lat = self.topology.latency
-        other_sharers = cell.sharers - {cpu}
-        if not other_sharers and (cell.owner == cpu or cell.owner is None):
-            self._c_local.inc()
-            return lat.l1_hit
-        cost = 0
-        remote = False
-        if cell.owner is not None and cell.owner != cpu:
-            cost = self.topology.transfer_ns(cell.owner, cpu)
-            remote = self.topology.hops(cell.owner, cpu) > 0
-        if other_sharers:
-            inval = max(self.topology.transfer_ns(s, cpu) for s in other_sharers)
-            cost = max(cost, inval)
-            remote = remote or any(self.topology.hops(s, cpu) > 0 for s in other_sharers)
-        self._c_transfer.inc()
-        if remote:
-            self._c_remote.inc()
-        return cost
+        self._l1_hit = topology.latency.l1_hit
+        self._atomic_extra = topology.latency.atomic_extra
+        self._socket = topology.cpu_socket
+        self._hops = topology.socket_hops
+        self._transfer = topology.socket_transfer_ns
 
     # ------------------------------------------------------------------
     # Accesses
     # ------------------------------------------------------------------
     def load(self, now: int, cpu: int, cell: Cell) -> Tuple[int, Any]:
         """A plain load.  Does not serialize with other loads."""
-        cost = self._read_cost(cpu, cell)
-        start = max(now, cell.busy_until)
-        finish = start + cost
-        if cell.owner != cpu:
+        owner = cell.owner
+        if owner == cpu or owner is None or cpu in cell.sharers:
+            self._c_local.value += 1
+            cost = self._l1_hit
+        else:
+            src, dst = self._socket[owner], self._socket[cpu]
+            cost = self._transfer[src][dst]
+            self._c_transfer.value += 1
+            if self._hops[src][dst] > 0:
+                self._c_remote.value += 1
+        busy = cell.busy_until
+        finish = (now if now >= busy else busy) + cost
+        if owner != cpu:
             cell.sharers.add(cpu)
         return finish, cell.value
 
     def _exclusive(self, now: int, cpu: int, cell: Cell, extra: int) -> int:
-        """Common path for stores and RMWs: serialize and take ownership."""
-        cost = self._own_cost(cpu, cell) + extra
-        start = max(now, cell.busy_until)
-        finish = start + cost
+        """Common path for stores and RMWs: serialize and take ownership.
+
+        Pays the dirty-line transfer from the current owner and, when
+        other CPUs hold shared copies, the invalidation round-trip to
+        the farthest sharer — writing a widely-shared line is expensive
+        even for its owner (the ticket-lock release broadcast).
+        """
+        owner = cell.owner
+        sharers = cell.sharers
+        if (owner == cpu or owner is None) and (
+            not sharers or (len(sharers) == 1 and cpu in sharers)
+        ):
+            self._c_local.value += 1
+            cost = self._l1_hit
+        else:
+            socket, hops, transfer = self._socket, self._hops, self._transfer
+            dst = socket[cpu]
+            cost = 0
+            remote = False
+            if owner is not None and owner != cpu:
+                src = socket[owner]
+                cost = transfer[src][dst]
+                remote = hops[src][dst] > 0
+            for sharer in sharers:
+                if sharer != cpu:
+                    src = socket[sharer]
+                    inval = transfer[src][dst]
+                    if inval > cost:
+                        cost = inval
+                    if hops[src][dst] > 0:
+                        remote = True
+            self._c_transfer.value += 1
+            if remote:
+                self._c_remote.value += 1
+        busy = cell.busy_until
+        finish = (now if now >= busy else busy) + (cost + extra)
         cell.busy_until = finish
         cell.owner = cpu
-        cell.sharers.clear()
+        sharers.clear()
         return finish
 
     def _collect_rechecks(self, cell: Cell, writer_cpu: int, finish: int):
@@ -169,11 +173,16 @@ class CacheModel:
         scaling while single-successor locks (MCS) stay flat.
         """
         rechecks = []
+        if not cell.waiters:
+            return rechecks
+        socket = self._socket
+        row = self._transfer[socket[writer_cpu]]
         k = 0
         for waiter in cell.waiters:
             if waiter.armed and not waiter.cancelled:
                 waiter.armed = False
-                delay = self.topology.transfer_ns(writer_cpu, waiter.task.cpu_id)
+                cpu = waiter.task.cpu_id
+                delay = self._l1_hit if cpu == writer_cpu else row[socket[cpu]]
                 delay += (k * delay) // 2
                 k += 1
                 rechecks.append((waiter, finish + delay))
@@ -185,8 +194,8 @@ class CacheModel:
         return finish, None, self._collect_rechecks(cell, cpu, finish)
 
     def cas(self, now: int, cpu: int, cell: Cell, expected: Any, new: Any):
-        self._c_atomics.inc()
-        finish = self._exclusive(now, cpu, cell, self.topology.latency.atomic_extra)
+        self._c_atomics.value += 1
+        finish = self._exclusive(now, cpu, cell, self._atomic_extra)
         old = cell.value
         if old == expected:
             cell.value = new
@@ -194,15 +203,15 @@ class CacheModel:
         return finish, (False, old), []
 
     def xchg(self, now: int, cpu: int, cell: Cell, value: Any):
-        self._c_atomics.inc()
-        finish = self._exclusive(now, cpu, cell, self.topology.latency.atomic_extra)
+        self._c_atomics.value += 1
+        finish = self._exclusive(now, cpu, cell, self._atomic_extra)
         old = cell.value
         cell.value = value
         return finish, old, self._collect_rechecks(cell, cpu, finish)
 
     def fetch_add(self, now: int, cpu: int, cell: Cell, delta: int):
-        self._c_atomics.inc()
-        finish = self._exclusive(now, cpu, cell, self.topology.latency.atomic_extra)
+        self._c_atomics.value += 1
+        finish = self._exclusive(now, cpu, cell, self._atomic_extra)
         old = cell.value
         cell.value = old + delta
         return finish, old, self._collect_rechecks(cell, cpu, finish)

@@ -24,8 +24,8 @@ Scheduling model (see DESIGN.md §3):
 
 from __future__ import annotations
 
-import heapq
 import random as _random
+from heapq import heappop, heappush
 from typing import Any, Callable, Dict, List, Optional
 
 from . import ops
@@ -37,6 +37,12 @@ from .task import Task, TaskBody, TaskState
 from .topology import Topology
 
 __all__ = ["Engine"]
+
+_RUNNING = TaskState.RUNNING
+_READY = TaskState.READY
+_SPINNING = TaskState.SPINNING
+_PARKED = TaskState.PARKED
+_DONE = TaskState.DONE
 
 # Cost (ns) of a park fast path that consumes a pending token (no syscall).
 _PARK_FASTPATH_NS = 30
@@ -65,12 +71,25 @@ class Engine:
         self.preemptive_priorities = preemptive_priorities
 
         self.cpus: List[CPU] = [CPU(i) for i in range(topology.nr_cpus)]
+        self._speed = topology.cpu_speed
         self.tasks: List[Task] = []
         self._heap: List = []
         self._seq = 0
         self._events_processed = 0
         self._next_tid = 1
         self._stopped = False
+
+        # Bound once: StatsRegistry.reset() zeroes counters in place.
+        counter = self.stats.counter
+        self._c_freezes = counter("sched.cpu_freezes")
+        self._c_finished = counter("sched.tasks_finished")
+        self._c_preemptions = counter("sched.preemptions")
+        self._c_switches = counter("sched.context_switches")
+        self._c_spinner_preemptions = counter("sched.spinner_preemptions")
+        self._c_local_spins = counter("cache.local_spins")
+        self._c_parks = counter("sched.parks")
+        self._c_wakeups = counter("sched.wakeups")
+        self._c_yields = counter("sched.yields")
 
         self._handlers: Dict[type, Callable] = {
             ops.Delay: self._h_delay,
@@ -122,6 +141,7 @@ class Engine:
         transfer, waiter rechecks — attributed to ``cpu``.  Used by
         control-plane actors that are not simulated tasks.
         """
+        self.topology.socket_of(cpu)  # range check
         _finish, _none, rechecks = self.cache.store(self.now, cpu, cell, value)
         self._schedule_rechecks(rechecks)
 
@@ -143,7 +163,7 @@ class Engine:
         thaw = self.now + duration_ns
         if thaw > cpu.frozen_until:
             cpu.frozen_until = thaw
-        self.stats.counter("sched.cpu_freezes").inc()
+        self._c_freezes.value += 1
         # If the occupant is mid-spin, its rechecks will defer themselves;
         # nothing else to do: completions re-check frozen_until.
 
@@ -156,17 +176,17 @@ class Engine:
         tasks mid-flight — that is how throughput runs end).
         """
         heap = self._heap
+        max_events = self.max_events
         self._stopped = False
         while heap:
-            if self._events_processed >= self.max_events:
+            if self._events_processed >= max_events:
                 raise SimLimitError(
                     f"exceeded max_events={self.max_events} at t={self.now}ns"
                 )
-            time_ns, _seq, fn, arg = heap[0]
-            if until is not None and time_ns > until:
+            if until is not None and heap[0][0] > until:
                 self.now = until
                 return self.now
-            heapq.heappop(heap)
+            time_ns, _seq, fn, arg = heappop(heap)
             self._events_processed += 1
             self.now = time_ns
             fn(arg)
@@ -199,7 +219,7 @@ class Engine:
         if time_ns < self.now:
             time_ns = self.now  # never schedule into the past
         self._seq += 1
-        heapq.heappush(self._heap, (time_ns, self._seq, fn, arg))
+        heappush(self._heap, (time_ns, self._seq, fn, arg))
 
     @staticmethod
     def _call(fn: Callable[[], None]) -> None:
@@ -214,62 +234,45 @@ class Engine:
         if cpu.current is None and self.now >= cpu.frozen_until:
             cpu.current = task
             cpu.dispatch_seq += 1
-            task.state = TaskState.RUNNING
+            task.state = _RUNNING
             self._arm_quantum(cpu)
-            self._step(task, None)
+            # The first step resumes the fresh generator with None.
+            self._on_complete((task, None))
         else:
-            task.state = TaskState.READY
+            task.state = _READY
             task.has_pending_value = False
             cpu.enqueue(task)
             self._maybe_preempt_for(cpu, task)
             self._arm_quantum(cpu)
             self._dispatch(cpu)
 
-    def _step(self, task: Task, value: Any) -> None:
-        """Advance the task generator by one request."""
-        try:
-            if task.state is TaskState.NEW:
-                task.state = TaskState.RUNNING
-            request = task.gen.send(value)
-        except StopIteration as stop:
-            self._finish_task(task, stop.value)
-            return
-        except Exception as exc:  # body raised: record and re-raise
-            task.error = exc
-            task.state = TaskState.DONE
-            task.finish_time = self.now
-            self._release_cpu(task)
-            raise
-        handler = self._handlers.get(type(request))
-        if handler is None:
-            raise TaskError(
-                f"{task.name} yielded {request!r}, which is not a sim request"
-            )
-        handler(task, request)
-
     def _finish_task(self, task: Task, result: Any) -> None:
-        task.state = TaskState.DONE
+        task.state = _DONE
         task.result = result
         task.finish_time = self.now
-        self.stats.counter("sched.tasks_finished").inc()
+        self._c_finished.value += 1
         self._release_cpu(task)
 
     def _release_cpu(self, task: Task) -> None:
         cpu = self.cpus[task.cpu_id]
         if cpu.current is task:
             cpu.current = None
-            cpu.idle_since = self.now
             self._dispatch(cpu)
 
     # ------------------------------------------------------------------
     # Completion & scheduling
     # ------------------------------------------------------------------
     def _complete(self, task: Task, result: Any, at: int) -> None:
-        self._at(at, self._on_complete, (task, result))
+        """Resume ``task`` with ``result`` at ``at`` (never in the past)."""
+        if at < self.now:
+            at = self.now
+        self._seq += 1
+        heappush(self._heap, (at, self._seq, self._on_complete, (task, result)))
 
     def _on_complete(self, payload) -> None:
+        """Deliver a request's result and run the task to its next request."""
         task, result = payload
-        if task.done:
+        if task.state is _DONE:
             return
         cpu = self.cpus[task.cpu_id]
         if cpu.frozen_until > self.now:
@@ -281,8 +284,8 @@ class Engine:
             # result and wait for a dispatch.
             task.pending_value = result
             task.has_pending_value = True
-            if task.state is not TaskState.READY:
-                task.state = TaskState.READY
+            if task.state is not _READY:
+                task.state = _READY
                 cpu.enqueue(task)
                 self._maybe_preempt_for(cpu, task)
                 self._arm_quantum(cpu)
@@ -292,32 +295,48 @@ class Engine:
             task.preempt_pending = False
             task.pending_value = result
             task.has_pending_value = True
-            task.state = TaskState.READY
+            task.state = _READY
             cpu.current = None
             cpu.enqueue(task)
-            self.stats.counter("sched.preemptions").inc()
+            self._c_preemptions.value += 1
             self._dispatch(cpu)
             return
-        task.state = TaskState.RUNNING
-        self._step(task, result)
+        task.state = _RUNNING
+        try:
+            request = task.gen.send(result)
+        except StopIteration as stop:
+            self._finish_task(task, stop.value)
+            return
+        except Exception as exc:  # body raised: record and re-raise
+            task.error = exc
+            task.state = _DONE
+            task.finish_time = self.now
+            self._release_cpu(task)
+            raise
+        handler = self._handlers.get(type(request))
+        if handler is None:
+            raise TaskError(
+                f"{task.name} yielded {request!r}, which is not a sim request"
+            )
+        handler(task, request)
 
     def _dispatch(self, cpu: CPU) -> None:
         if cpu.current is not None:
             return
         if cpu.frozen_until > self.now:
-            self._at(cpu.frozen_until, self._dispatch_cb, cpu)
+            self._at(cpu.frozen_until, self._dispatch, cpu)
             return
         nxt = cpu.pick_next()
-        if nxt is None or nxt.done:
+        if nxt is None or nxt.state is _DONE:
             return
         cpu.current = nxt
         cpu.dispatch_seq += 1
         nxt.preempt_pending = False
-        self.stats.counter("sched.context_switches").inc()
+        self._c_switches.value += 1
         self._arm_quantum(cpu)
         cost = self.topology.latency.context_switch
         if nxt.has_pending_value:
-            nxt.state = TaskState.RUNNING
+            nxt.state = _RUNNING
             value = nxt.pending_value
             nxt.pending_value = None
             nxt.has_pending_value = False
@@ -325,14 +344,11 @@ class Engine:
         elif nxt._spin_waiter is not None:
             # A spinner that was descheduled mid-WaitValue and whose cell
             # has not fired yet: it resumes spinning, no generator step.
-            nxt.state = TaskState.SPINNING
+            nxt.state = _SPINNING
         else:
             # Fresh task: first generator step receives None.
-            nxt.state = TaskState.RUNNING
+            nxt.state = _RUNNING
             self._complete(nxt, None, self.now + cost)
-
-    def _dispatch_cb(self, cpu: CPU) -> None:
-        self._dispatch(cpu)
 
     def _arm_quantum(self, cpu: CPU) -> None:
         if self.preemption_quantum is None or not cpu.runqueue:
@@ -350,7 +366,7 @@ class Engine:
         cpu, task, seq = payload
         if cpu.current is not task or cpu.dispatch_seq != seq or not cpu.runqueue:
             return
-        if task.state is TaskState.SPINNING:
+        if task.state is _SPINNING:
             # A spinning waiter can be descheduled immediately: it has no
             # in-flight completion, only (possibly) armed cell waiters.
             self._deschedule_spinner(cpu, task)
@@ -364,7 +380,7 @@ class Engine:
         current = cpu.current
         if current is None or newcomer.priority <= current.priority:
             return
-        if current.state is TaskState.SPINNING:
+        if current.state is _SPINNING:
             self._deschedule_spinner(cpu, current)
         else:
             current.preempt_pending = True
@@ -372,25 +388,29 @@ class Engine:
     def _deschedule_spinner(self, cpu: CPU, task: Task) -> None:
         """Take the CPU from a task blocked in WaitValue."""
         cpu.current = None
-        task.state = TaskState.READY
+        task.state = _READY
         task.has_pending_value = False
         # The cell waiter stays armed; if it fires while we are off-CPU the
         # recheck path sees state READY and stores a pending value instead.
-        task.tags["_descheduled_spin"] = 1
         cpu.enqueue(task)
-        self.stats.counter("sched.spinner_preemptions").inc()
+        self._c_spinner_preemptions.value += 1
         self._dispatch(cpu)
 
     # ------------------------------------------------------------------
     # Request handlers
     # ------------------------------------------------------------------
     def _h_delay(self, task: Task, req: ops.Delay) -> None:
-        cost = int(req.ns * self.topology.speed_of(task.cpu_id))
-        self._complete(task, None, self.now + max(cost, 0))
+        cost = int(req.ns * self._speed[task.cpu_id])
+        at = self.now + cost if cost > 0 else self.now
+        self._seq += 1
+        heappush(self._heap, (at, self._seq, self._on_complete, (task, None)))
 
     def _h_load(self, task: Task, req: ops.Load) -> None:
-        finish, value = self.cache.load(self.now, task.cpu_id, req.cell)
-        self._complete(task, value, finish)
+        now = self.now
+        finish, value = self.cache.load(now, task.cpu_id, req.cell)
+        at = finish if finish > now else now
+        self._seq += 1
+        heappush(self._heap, (at, self._seq, self._on_complete, (task, value)))
 
     def _h_store(self, task: Task, req: ops.Store) -> None:
         finish, _none, rechecks = self.cache.store(
@@ -428,7 +448,7 @@ class Engine:
 
     def _wait_first_check(self, payload) -> None:
         task, req = payload
-        if task.done:
+        if task.state is _DONE:
             return
         value = req.cell.value
         if req.pred(value):
@@ -436,17 +456,16 @@ class Engine:
             return
         waiter = CellWaiter(task, req.pred)
         waiter_cell = req.cell
-        task.state = TaskState.SPINNING
-        task.tags.pop("_descheduled_spin", None)
+        task.state = _SPINNING
         self.cache.add_waiter(waiter_cell, waiter)
         task._spin_waiter = (waiter_cell, waiter)
-        self.stats.counter("cache.local_spins").inc()
+        self._c_local_spins.value += 1
 
     def _waiter_recheck(self, waiter: CellWaiter) -> None:
         if waiter.cancelled:
             return
         task = waiter.task
-        if task.done or task._spin_waiter is None:
+        if task.state is _DONE or task._spin_waiter is None:
             return
         cell, _w = task._spin_waiter
         # The recheck is a read: the spinner holds a shared copy again,
@@ -460,18 +479,17 @@ class Engine:
         self.cache.remove_waiter(cell, waiter)
         task._spin_waiter = None
         cpu = self.cpus[task.cpu_id]
-        if task.state is TaskState.SPINNING and cpu.current is task:
-            task.state = TaskState.RUNNING
+        if task.state is _SPINNING and cpu.current is task:
+            task.state = _RUNNING
             self._complete(task, value, self.now)
         else:
             # We were descheduled mid-spin (quantum or priority preemption):
             # deliver the value when we next get the CPU.
             task.pending_value = value
             task.has_pending_value = True
-            if task.state is not TaskState.READY:
-                task.state = TaskState.READY
+            if task.state is not _READY:
+                task.state = _READY
                 cpu.enqueue(task)
-            task.tags.pop("_descheduled_spin", None)
             self._dispatch(cpu)
 
     # ------------------------------------------------------------------
@@ -489,21 +507,21 @@ class Engine:
             self._complete(task, True, self.now + _PARK_FASTPATH_NS)
             return
         lat = self.topology.latency
-        task.state = TaskState.PARKED
+        task.state = _PARKED
         task.wake_epoch += 1
         epoch = task.wake_epoch
         cpu = self.cpus[task.cpu_id]
         if cpu.current is task:
             cpu.current = None
             # Park cost is paid by the CPU before the next dispatch.
-            self._at(self.now + lat.park_cost, self._dispatch_cb, cpu)
-        self.stats.counter("sched.parks").inc()
+            self._at(self.now + lat.park_cost, self._dispatch, cpu)
+        self._c_parks.value += 1
         if timeout_ns is not None:
             self._at(self.now + timeout_ns, self._park_timeout_fire, (task, epoch))
 
     def _park_timeout_fire(self, payload) -> None:
         task, epoch = payload
-        if task.state is TaskState.PARKED and task.wake_epoch == epoch:
+        if task.state is _PARKED and task.wake_epoch == epoch:
             self._wake(task, woken=False)
 
     def _h_unpark(self, task: Task, req: ops.Unpark) -> None:
@@ -517,9 +535,9 @@ class Engine:
         self._do_unpark(target)
 
     def _do_unpark(self, target: Task) -> None:
-        if target.done:
+        if target.state is _DONE:
             return
-        if target.state is TaskState.PARKED:
+        if target.state is _PARKED:
             lat = self.topology.latency
             target.wake_epoch += 1
             self._at(self.now + lat.wake_latency, self._wake_cb, target)
@@ -527,15 +545,15 @@ class Engine:
             target.park_token = True
 
     def _wake_cb(self, target: Task) -> None:
-        if target.state is TaskState.PARKED:
+        if target.state is _PARKED:
             self._wake(target, woken=True)
 
     def _wake(self, task: Task, woken: bool) -> None:
-        self.stats.counter("sched.wakeups").inc()
+        self._c_wakeups.value += 1
         cpu = self.cpus[task.cpu_id]
         task.pending_value = woken
         task.has_pending_value = True
-        task.state = TaskState.READY
+        task.state = _READY
         cpu.enqueue(task)
         self._maybe_preempt_for(cpu, task)
         self._arm_quantum(cpu)
@@ -547,10 +565,10 @@ class Engine:
         if not cpu.runqueue:
             self._complete(task, None, self.now + _YIELD_NOOP_NS)
             return
-        task.state = TaskState.READY
+        task.state = _READY
         task.pending_value = None
         task.has_pending_value = True
         cpu.current = None
         cpu.enqueue(task)
-        self.stats.counter("sched.yields").inc()
+        self._c_yields.value += 1
         self._dispatch(cpu)

@@ -31,7 +31,6 @@ class CPU:
         "frozen_until",
         "dispatch_seq",
         "quantum_armed_seq",
-        "idle_since",
     )
 
     def __init__(self, cpu_id: int) -> None:
@@ -44,7 +43,6 @@ class CPU:
         self.dispatch_seq = 0
         #: dispatch_seq value for which a quantum timer is already armed.
         self.quantum_armed_seq = -1
-        self.idle_since = 0
 
     # ------------------------------------------------------------------
     def enqueue(self, task: "Task") -> None:
@@ -62,23 +60,6 @@ class CPU:
         if self.runqueue:
             return self.runqueue.pop(0)
         return None
-
-    def remove(self, task: "Task") -> bool:
-        """Remove a task from the run queue (used on task teardown)."""
-        try:
-            self.runqueue.remove(task)
-            return True
-        except ValueError:
-            return False
-
-    @property
-    def busy(self) -> bool:
-        return self.current is not None
-
-    def best_waiting_priority(self) -> Optional[int]:
-        if not self.runqueue:
-            return None
-        return max(task.priority for task in self.runqueue)
 
     def __repr__(self) -> str:
         cur = self.current.name if self.current else "idle"

@@ -42,7 +42,15 @@ class TaskState(enum.Enum):
 class Task:
     """One simulated thread of execution."""
 
-    _slots_doc = "kept as normal attributes; tasks are few and long-lived"
+    # Open-loop traces spawn one task per request, thousands per run.
+    __slots__ = (
+        "engine", "tid", "name", "cpu_id", "priority", "numa_node", "state", "gen", "_body",
+        # futex and scheduler state
+        "park_token", "wake_epoch", "preempt_pending", "pending_value", "has_pending_value",
+        "_spin_waiter",
+        # bookkeeping and annotations
+        "spawn_time", "finish_time", "result", "error", "tags", "held_locks", "stats",
+    )
 
     def __init__(
         self,

@@ -18,7 +18,7 @@ absolute values only set the scale; the *ratios* drive every result shape.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import TopologyError
@@ -74,6 +74,12 @@ class Topology:
             symmetric.
         numa_distance: optional socket-by-socket hop matrix.  Defaults to
             1 hop between any two distinct sockets (fully connected).
+
+    The engine and the cache model read tables built once here:
+    ``cpu_speed`` and ``cpu_socket`` (per CPU) and the sockets x sockets
+    ``socket_hops`` and ``socket_transfer_ns``, indexed
+    ``[from_socket][to_socket]``.  The socket tables cover two distinct
+    CPUs; a CPU reaching its own line pays ``l1_hit``.
     """
 
     def __init__(
@@ -91,7 +97,7 @@ class Topology:
         self.nr_cpus = sockets * cores_per_socket
         self.latency = latency or LatencyModel()
         if speed is None:
-            self._speed: Tuple[float, ...] = (1.0,) * self.nr_cpus
+            self.cpu_speed: Tuple[float, ...] = (1.0,) * self.nr_cpus
         else:
             if len(speed) != self.nr_cpus:
                 raise TopologyError(
@@ -99,16 +105,21 @@ class Topology:
                 )
             if any(s <= 0 for s in speed):
                 raise TopologyError("speed factors must be positive")
-            self._speed = tuple(float(s) for s in speed)
+            self.cpu_speed = tuple(float(s) for s in speed)
         if numa_distance is None:
-            self._distance = None
-        else:
-            if len(numa_distance) != sockets or any(len(row) != sockets for row in numa_distance):
-                raise TopologyError("numa_distance must be a sockets x sockets matrix")
-            self._distance = tuple(tuple(int(h) for h in row) for row in numa_distance)
-        # Precompute cpu -> socket for the hot path.
-        self._socket_of: Tuple[int, ...] = tuple(
+            numa_distance = [[1] * sockets for _ in range(sockets)]
+        elif len(numa_distance) != sockets or any(len(row) != sockets for row in numa_distance):
+            raise TopologyError("numa_distance must be a sockets x sockets matrix")
+        self.cpu_socket: Tuple[int, ...] = tuple(
             cpu // cores_per_socket for cpu in range(self.nr_cpus)
+        )
+        hops = [list(map(int, row)) for row in numa_distance]
+        for socket, row in enumerate(hops):
+            row[socket] = 0  # one socket is 0 hops whatever the matrix says
+        transfer = {h: self.latency.transfer(h) for h in set().union(*hops)}
+        self.socket_hops: Tuple[Tuple[int, ...], ...] = tuple(map(tuple, hops))
+        self.socket_transfer_ns: Tuple[Tuple[int, ...], ...] = tuple(
+            tuple(map(transfer.__getitem__, row)) for row in hops
         )
 
     # ------------------------------------------------------------------
@@ -116,10 +127,9 @@ class Topology:
     # ------------------------------------------------------------------
     def socket_of(self, cpu: int) -> int:
         """NUMA node id of ``cpu``."""
-        try:
-            return self._socket_of[cpu]
-        except IndexError:
-            raise TopologyError(f"cpu {cpu} out of range (nr_cpus={self.nr_cpus})") from None
+        if not 0 <= cpu < self.nr_cpus:
+            raise TopologyError(f"cpu {cpu} out of range (nr_cpus={self.nr_cpus})")
+        return self.cpu_socket[cpu]
 
     def cpus_of_socket(self, socket: int) -> range:
         """The dense CPU id range belonging to ``socket``."""
@@ -129,22 +139,20 @@ class Topology:
         return range(start, start + self.cores_per_socket)
 
     def speed_of(self, cpu: int) -> float:
-        return self._speed[cpu]
+        """Computation time factor of ``cpu`` (1.0 is a big core)."""
+        self.socket_of(cpu)  # range check
+        return self.cpu_speed[cpu]
 
     def hops(self, cpu_a: int, cpu_b: int) -> int:
         """NUMA hop count between two CPUs (0 when they share a socket)."""
-        sa, sb = self.socket_of(cpu_a), self.socket_of(cpu_b)
-        if sa == sb:
-            return 0
-        if self._distance is not None:
-            return self._distance[sa][sb]
-        return 1
+        return self.socket_hops[self.socket_of(cpu_a)][self.socket_of(cpu_b)]
 
     def transfer_ns(self, from_cpu: int, to_cpu: int) -> int:
         """Cache-line transfer latency between two CPUs."""
+        sa, sb = self.socket_of(from_cpu), self.socket_of(to_cpu)
         if from_cpu == to_cpu:
             return self.latency.l1_hit
-        return self.latency.transfer(self.hops(from_cpu, to_cpu))
+        return self.socket_transfer_ns[sa][sb]
 
     # ------------------------------------------------------------------
     # Enumeration helpers used by workloads
@@ -178,7 +186,7 @@ class Topology:
             "sockets": self.sockets,
             "cores_per_socket": self.cores_per_socket,
             "nr_cpus": self.nr_cpus,
-            "asymmetric": len(set(self._speed)) > 1,
+            "asymmetric": len(set(self.cpu_speed)) > 1,
         }
 
     def __repr__(self) -> str:

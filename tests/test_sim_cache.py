@@ -114,6 +114,58 @@ class TestWaiters:
         assert times == sorted(times)
         assert times[1] > times[0] and times[2] > times[1]
 
+    def test_recheck_from_the_waiters_own_cpu_pays_l1(self):
+        """A writer on the spinner's own CPU (spinner descheduled, or an
+        external store attributed to it) refills the line at l1 cost."""
+        topo, model = make_model()
+        cell = Cell(0)
+
+        class _FakeTask:
+            cpu_id = 0
+
+        waiter = CellWaiter(_FakeTask(), lambda v: True)
+        model.add_waiter(cell, waiter)
+        _finish, _none, rechecks = model.store(0, cpu=0, cell=cell, value=1)
+        assert rechecks == [(waiter, topo.latency.l1_hit * 2)]
+
+    def test_asymmetric_distances_are_priced_from_source_to_requester(self):
+        """Reads pay owner->reader, invalidations sharer->writer, rechecks
+        writer->spinner."""
+        topo = Topology(sockets=2, cores_per_socket=1, numa_distance=[[0, 1], [3, 0]])
+        lat = topo.latency
+        model = CacheModel(topo, StatsRegistry())
+        cell = Cell(0)
+        model.store(0, cpu=1, cell=cell, value=1)
+        finish, _ = model.load(1_000, cpu=0, cell=cell)
+        assert finish == 1_000 + lat.transfer(3)
+        line = Cell(0)
+        model.load(0, cpu=1, cell=line)
+        finish, _none, _ = model.store(1_000, cpu=0, cell=line, value=1)
+        assert finish == 1_000 + lat.transfer(3)
+
+        class _FakeTask:
+            cpu_id = 1
+
+        waiter = CellWaiter(_FakeTask(), lambda v: True)
+        model.add_waiter(line, waiter)
+        finish, _none, rechecks = model.store(2_000, cpu=0, cell=line, value=2)
+        assert rechecks == [(waiter, finish + lat.transfer(1))]
+
+    def test_zero_hop_sockets_are_not_remote(self):
+        """Remote means more than 0 hops, not a different socket."""
+        topo = Topology(sockets=2, cores_per_socket=1, numa_distance=[[0, 0], [0, 0]])
+        stats = StatsRegistry()
+        model = CacheModel(topo, stats)
+        cell = Cell(0)
+        model.store(0, cpu=0, cell=cell, value=1)
+        finish, _ = model.load(100, cpu=1, cell=cell)
+        assert finish == 100 + topo.latency.local_transfer
+        model.load(200, cpu=0, cell=cell)
+        model.store(300, cpu=1, cell=cell, value=2)
+        snap = stats.snapshot()
+        assert snap["cache.transfers"] == 2
+        assert snap["cache.remote_transfers"] == 0
+
     def test_cancelled_waiter_not_rechecked(self):
         topo, model = make_model()
         cell = Cell(0)

@@ -3,7 +3,7 @@ run-loop bookkeeping."""
 
 import pytest
 
-from repro.sim import Engine, Topology, ops
+from repro.sim import Engine, Topology, TopologyError, ops
 
 
 def make_engine(**kw):
@@ -65,6 +65,11 @@ class TestExternalControls:
         eng.call_at(100, lambda: eng.unpark_external(target))
         eng.run()
         assert target.stats["woken_at"] < 6_000
+
+    def test_external_store_checks_its_cpu(self):
+        eng = make_engine()
+        with pytest.raises(TopologyError):
+            eng.external_store(eng.cell(0), 1, cpu=4)
 
     def test_unpark_done_task_is_noop(self):
         eng = make_engine()

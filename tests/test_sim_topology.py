@@ -26,6 +26,31 @@ class TestLayout:
         topo = Topology(sockets=1, cores_per_socket=2)
         with pytest.raises(TopologyError):
             topo.socket_of(5)
+        paper = paper_machine()
+        for lookup in (
+            lambda: paper.socket_of(-1),
+            lambda: paper.hops(-1, 0),
+            lambda: paper.transfer_ns(0, -80),
+            lambda: paper.transfer_ns(-1, -1),
+            lambda: paper.speed_of(80),
+            lambda: paper.speed_of(-1),
+        ):
+            with pytest.raises(TopologyError):
+                lookup()
+
+    def test_socket_tables_are_indexed_from_then_to(self):
+        topo = Topology(
+            sockets=3,
+            cores_per_socket=2,
+            numa_distance=[[5, 1, 2], [3, 0, 0], [2, 0, 7]],
+        )
+        lat = topo.latency
+        assert topo.cpu_socket == (0, 0, 1, 1, 2, 2)
+        assert topo.socket_hops == ((0, 1, 2), (3, 0, 0), (2, 0, 0))
+        assert topo.socket_transfer_ns[1] == (lat.transfer(3), lat.local_transfer, lat.local_transfer)
+        assert (topo.hops(0, 2), topo.hops(2, 0), topo.hops(4, 5)) == (1, 3, 0)
+        assert topo.transfer_ns(2, 0) == lat.transfer(3)
+        assert topo.transfer_ns(4, 4) == lat.l1_hit
 
     def test_custom_distance_matrix(self):
         topo = Topology(

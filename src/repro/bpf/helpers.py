@@ -12,12 +12,12 @@ helpers take the map handle (materialized by ``ld_map``) in R1.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, NamedTuple, Optional
+from typing import Any, Callable, Dict, List, NamedTuple, Optional
 
 from .errors import RuntimeFault
 from .maps import BPFMap
 
-__all__ = ["HelperSpec", "HELPERS", "HELPER_IDS", "helper_by_name"]
+__all__ = ["HelperSpec", "HELPERS", "HELPER_IDS", "helper_by_name", "int_annotation"]
 
 _U64 = (1 << 64) - 1
 
@@ -58,6 +58,21 @@ def _h_get_task_priority(vm, args):
     return vm.task.priority & _U64
 
 
+def int_annotation(annotations: Dict[str, Any], name: str) -> int:
+    """A userspace annotation (task tag, node metadata) as the integer a
+    program sees: ``int()`` of the value, 0 when absent.
+
+    A value ``int()`` rejects raises :class:`RuntimeFault`, so the
+    policy's circuit breaker counts it and the lock falls back instead
+    of the error escaping the simulation.
+    """
+    value = annotations.get(name, 0)
+    try:
+        return int(value)
+    except (TypeError, ValueError):
+        raise RuntimeFault(f"annotation {name!r} is not an integer: {value!r}") from None
+
+
 def _h_get_task_tag(vm, args):
     """Read a userspace annotation from the current task.
 
@@ -71,7 +86,7 @@ def _h_get_task_tag(vm, args):
     names = vm.program.tag_names
     if not 0 <= index < len(names):
         raise RuntimeFault(f"tag index {index} out of range")
-    return vm.task.tags.get(names[index], 0) & _U64
+    return int_annotation(vm.task.tags, names[index]) & _U64
 
 
 def _h_prandom_u32(vm, args):

@@ -12,7 +12,7 @@ at entry).  Each Concord hook type has its own layout (defined in
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .errors import BPFError
 from .insn import Insn, disassemble
@@ -77,6 +77,11 @@ class Program:
         self.trace: List[Tuple[int, int]] = []
         #: Set by the verifier on success.
         self.verified = False
+        #: Also set by the verifier on success: the program as one
+        #: generated Python function (see :mod:`.codegen`).  The
+        #: instructions are fixed from then on, as in a loaded eBPF
+        #: program.
+        self.compiled: Optional[Callable] = None
         #: Cumulative VM statistics.
         self.run_count = 0
         self.insns_executed = 0

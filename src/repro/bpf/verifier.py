@@ -22,12 +22,21 @@ or allowing only whitelisted helper functions" (§4.2):
 The verifier writes a human-readable log; on rejection the log rides
 along in :class:`VerificationError` so the framework can "notify the
 user of the verification outcome" (Figure 1, step 4).
+
+An accepted program leaves with :attr:`Program.compiled`, the function
+:mod:`.codegen` builds from the slots this proof resolved.  Acceptance
+depends only on what the verifier reads — the instructions, the context
+layout, the number of maps, the helper whitelist and the size limit — so
+each distinct combination is verified and compiled once per process and
+later requests are served from a bounded memo.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from operator import attrgetter
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
+from .codegen import CTX, STACK, compile_program
 from .errors import VerificationError
 from .helpers import HELPER_IDS
 from .insn import (
@@ -49,10 +58,29 @@ from .insn import (
     STACK_SIZE,
 )
 from .program import Program
+from .vm import _U64, _to_signed
 
 __all__ = ["Verifier", "VerifierReport", "MAX_INSNS"]
 
 MAX_INSNS = 4096
+
+#: Pointer offsets stay within +-2**29 bytes of their base (the kernel's
+#: BPF_MAX_VAR_OFF), so a proven offset is the exact runtime address:
+#: the u64 pointer arithmetic never wraps and ctx and stack never alias.
+MAX_PTR_OFF = 1 << 29
+
+#: Opcodes that name a dst / src register (src is optional elsewhere:
+#: ``None`` selects the immediate form).
+_NEEDS_DST = frozenset(ALU_OPS + JMP_OPS + (OP_MOV, OP_LDC, OP_LDX, OP_STX, OP_ST, OP_LD_MAP))
+_NEEDS_SRC = frozenset((OP_LDX, OP_STX))
+
+#: Accepted verifications: memo key -> (log, compiled function).  Like
+#: the ``re`` module's pattern cache it is process-wide and bounded,
+#: dropping its oldest entry when full; entries hold nothing mutable
+#: (the log is copied out, the function captures no program or map).
+_ACCEPTED: Dict[tuple, Tuple[Tuple[str, ...], Callable]] = {}
+_ACCEPTED_MAX = 256
+_insn_fields = attrgetter("op", "dst", "src", "off", "imm")
 
 # Abstract value kinds.
 UNINIT = "uninit"
@@ -156,8 +184,25 @@ class Verifier:
 
     # ------------------------------------------------------------------
     def verify(self, program: Program) -> VerifierReport:
-        log: List[str] = []
         insns = program.insns
+        helpers = self.allowed_helpers
+        key = (
+            tuple(map(_insn_fields, insns)),
+            program.ctx_layout.fields,
+            len(program.maps),
+            frozenset(helpers) if helpers is not None else None,
+            self.max_insns,
+        )
+        try:
+            hit = _ACCEPTED.get(key)
+        except TypeError:  # an unhashable operand: _check_structure rejects it
+            hit = None
+        if hit is not None:
+            log, program.compiled = hit
+            program.verified = True
+            return VerifierReport(program, list(log), len(insns), len(insns))
+
+        log: List[str] = []
         if not insns:
             raise VerificationError("empty program", log)
         if len(insns) > self.max_insns:
@@ -170,6 +215,8 @@ class Verifier:
         # Forward-only jumps make the CFG a DAG ordered by pc: one pass
         # in pc order with state joins is a complete fixpoint.
         states: Dict[int, _AbsState] = {0: _AbsState.entry()}
+        #: pc of each reachable load/store -> the slot it touches
+        slots: Dict[int, Tuple[str, int]] = {}
         reachable = 0
         for pc, insn in enumerate(insns):
             state = states.get(pc)
@@ -177,11 +224,15 @@ class Verifier:
                 log.append(f"{pc}: unreachable (dead code)")
                 continue
             reachable += 1
-            self._step(program, pc, insn, state, states, log)
+            self._step(program, pc, insn, state, states, log, slots)
 
         report = VerifierReport(program, log, len(insns), len(insns))
         program.verified = True
         log.append(f"verification OK: {reachable}/{len(insns)} insns reachable")
+        program.compiled = compile_program(insns, states, slots)
+        if len(_ACCEPTED) >= _ACCEPTED_MAX:
+            del _ACCEPTED[next(iter(_ACCEPTED))]
+        _ACCEPTED[key] = (tuple(log), program.compiled)
         return report
 
     # ------------------------------------------------------------------
@@ -189,9 +240,19 @@ class Verifier:
         insns = program.insns
         n = len(insns)
         for pc, insn in enumerate(insns):
+            if not isinstance(insn.op, str):
+                raise VerificationError(f"{pc}: opcode {insn.op!r} is not an opcode name", log)
+            for field in ("off", "imm"):
+                value = getattr(insn, field)
+                if not isinstance(value, int):
+                    raise VerificationError(f"{pc}: {field}={value!r} is not an integer", log)
             for reg in (insn.dst, insn.src):
-                if reg is not None and not 0 <= reg < NR_REGS:
+                if reg is not None and not (isinstance(reg, int) and 0 <= reg < NR_REGS):
                     raise VerificationError(f"{pc}: register r{reg} does not exist", log)
+            if insn.dst is None and insn.op in _NEEDS_DST:
+                raise VerificationError(f"{pc}: {insn.op} needs a dst register", log)
+            if insn.src is None and insn.op in _NEEDS_SRC:
+                raise VerificationError(f"{pc}: {insn.op} needs a src register", log)
             writes_dst = insn.op in ALU_OPS or insn.op in (OP_MOV, OP_LDC, OP_LDX, OP_LD_MAP)
             if writes_dst and insn.dst == R10:
                 raise VerificationError(f"{pc}: write to frame pointer r10", log)
@@ -229,8 +290,11 @@ class Verifier:
         state: _AbsState,
         states: Dict[int, _AbsState],
         log: List[str],
+        slots: Dict[int, Tuple[str, int]],
     ) -> None:
         op = insn.op
+        # Known constants are tracked as the u64 values the VM computes.
+        imm = (SCALAR, insn.imm & _U64)
 
         def use(reg: int, what: str = "operand") -> _AVal:
             val = state.regs[reg]
@@ -257,25 +321,22 @@ class Verifier:
             if insn.src is not None:
                 nxt.regs[insn.dst] = use(insn.src)
             else:
-                nxt.regs[insn.dst] = (SCALAR, insn.imm)
+                nxt.regs[insn.dst] = imm
         elif op == OP_LDC:
-            nxt.regs[insn.dst] = (SCALAR, insn.imm)
+            nxt.regs[insn.dst] = imm
         elif op == OP_LD_MAP:
             nxt.regs[insn.dst] = (MAP_HANDLE, insn.imm)
         elif op in ALU_OPS:
             dst_val = use(insn.dst, "ALU dst")
-            rhs = use(insn.src, "ALU src") if insn.src is not None else (SCALAR, insn.imm)
+            rhs = use(insn.src, "ALU src") if insn.src is not None else imm
             nxt.regs[insn.dst] = self._alu(pc, op, dst_val, rhs, log)
         elif op == OP_LDX:
             base = use(insn.src, "load base")
-            nxt.regs[insn.dst] = self._check_load(program, pc, base, insn.off, state, log)
+            nxt.regs[insn.dst] = self._check_load(program, pc, base, insn.off, state, log, slots)
         elif op in (OP_STX, OP_ST):
             base = use(insn.dst, "store base")
-            if op == OP_STX:
-                stored = use(insn.src, "store value")
-            else:
-                stored = (SCALAR, insn.imm)
-            self._check_store(pc, base, insn.off, stored, nxt, log)
+            stored = use(insn.src, "store value") if op == OP_STX else imm
+            self._check_store(pc, base, insn.off, stored, nxt, log, slots)
         elif op == OP_CALL:
             spec = HELPER_IDS[insn.imm]
             for i in range(spec.nargs):
@@ -298,10 +359,7 @@ class Verifier:
             return
         elif op in JMP_OPS:
             lhs = use(insn.dst, "jump lhs")
-            if insn.src is not None:
-                rhs = use(insn.src, "jump rhs")
-            else:
-                rhs = (SCALAR, insn.imm)
+            rhs = use(insn.src, "jump rhs") if insn.src is not None else imm
             if lhs[0] != SCALAR or rhs[0] != SCALAR:
                 raise VerificationError(f"{pc}: comparison on non-scalar values", log)
             flow_to(pc + insn.off, nxt.copy())
@@ -329,8 +387,13 @@ class Verifier:
                 raise VerificationError(
                     f"{pc}: pointer arithmetic needs a known constant", log
                 )
-            delta = rhs[1] if op == "add" else -rhs[1]
-            return (dst[0], dst[1] + delta)
+            delta = _to_signed(rhs[1])
+            offset = dst[1] + delta if op == "add" else dst[1] - delta
+            if not -MAX_PTR_OFF <= offset <= MAX_PTR_OFF:
+                raise VerificationError(
+                    f"{pc}: pointer offset {offset} out of range", log
+                )
+            return (dst[0], offset)
         if dst[0] == MAP_HANDLE or rhs[0] == MAP_HANDLE:
             raise VerificationError(f"{pc}: arithmetic on a map handle", log)
         if rhs[0] in (PTR_CTX, PTR_STACK):
@@ -342,7 +405,9 @@ class Verifier:
             return (SCALAR, _ALU_DISPATCH[op](dst[1], rhs[1]))
         return (SCALAR, None)
 
-    def _check_load(self, program: Program, pc: int, base: _AVal, off: int, state, log) -> _AVal:
+    def _check_load(
+        self, program: Program, pc: int, base: _AVal, off: int, state, log, slots
+    ) -> _AVal:
         if base[0] == PTR_CTX:
             offset = base[1] + off
             if not program.ctx_layout.valid_offset(offset):
@@ -351,6 +416,7 @@ class Verifier:
                     f"(layout {program.ctx_layout.name}, size {program.ctx_layout.size})",
                     log,
                 )
+            slots[pc] = (CTX, offset // 8)
             return (SCALAR, None)
         if base[0] == PTR_STACK:
             slot = self._stack_slot(pc, base[1] + off, log)
@@ -359,10 +425,11 @@ class Verifier:
                 raise VerificationError(f"{pc}: read of uninitialized stack slot", log)
             if val[0] == BOT:
                 raise VerificationError(f"{pc}: stack slot has conflicting types", log)
+            slots[pc] = (STACK, slot)
             return val
         raise VerificationError(f"{pc}: load from non-pointer ({base[0]})", log)
 
-    def _check_store(self, pc: int, base: _AVal, off: int, stored: _AVal, nxt, log) -> None:
+    def _check_store(self, pc: int, base: _AVal, off: int, stored: _AVal, nxt, log, slots) -> None:
         if base[0] == PTR_CTX:
             raise VerificationError(f"{pc}: the context is read-only", log)
         if base[0] != PTR_STACK:
@@ -373,6 +440,7 @@ class Verifier:
             )
         slot = self._stack_slot(pc, base[1] + off, log)
         nxt.stack[slot] = stored
+        slots[pc] = (STACK, slot)
 
     @staticmethod
     def _stack_slot(pc: int, offset: int, log) -> int:

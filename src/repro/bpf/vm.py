@@ -1,11 +1,16 @@
-"""The BPF interpreter.
+"""The BPF virtual machine.
 
 Executes a program against a packed context and returns ``(r0,
 cost_ns)`` where the cost models interpretation on the hook path: a
 fixed trampoline-side entry cost plus a per-instruction charge plus each
-helper's own cost.  (The real kernel JITs programs; we expose the
-per-instruction cost as a knob so the "revisit eBPF overhead" discussion
-in §6 can be explored as an ablation.)
+helper's own cost.  The per-instruction cost is a knob so the "revisit
+eBPF overhead" discussion in §6 can be explored as an ablation.
+
+A verified program runs as the Python function :mod:`.codegen` built
+for it: the host-side counterpart of the kernel's JIT.  That changes
+host time only.  The function counts the instructions it executes, so
+the modelled cost is still that of interpreting them, to the
+nanosecond.  Unverified programs are interpreted.
 
 Runtime guards (instruction budget, memory bounds, type confusion) are
 defense-in-depth: a verified program cannot trip them, and the test
@@ -69,7 +74,7 @@ class VMState:
 
 
 class VM:
-    """Interprets verified programs.
+    """Runs programs: compiled when verified, interpreted otherwise.
 
     Args:
         entry_cost_ns: fixed cost of entering the program (register
@@ -96,9 +101,27 @@ class VM:
         task=None,
         engine=None,
     ) -> Tuple[int, int]:
-        """Execute; returns (r0, simulated_cost_ns)."""
+        """Execute; returns (r0, simulated_cost_ns).
+
+        ``ctx_values`` holds one integer per context-layout field, as
+        :meth:`ContextLayout.pack` and the hook packers build it.  A
+        verified program no longer than the instruction budget runs
+        compiled: it cannot trip the budget, because forward-only jumps
+        bound every path by the program's length.
+        """
         fault_point("bpf.vm.budget", default_exc=RuntimeFault, program=program.name)
         state = VMState(task, engine, program)
+        compiled = program.compiled
+        if compiled is not None and len(program.insns) <= self.insn_limit:
+            r0, executed, helper_ns = compiled(ctx_values, program.maps, state, program.name)
+        else:
+            r0, executed, helper_ns = self._interpret(program, ctx_values, state)
+        program.run_count += 1
+        program.insns_executed += executed
+        return r0, self.entry_cost_ns + helper_ns + executed * self.per_insn_ns
+
+    def _interpret(self, program: Program, ctx_values, state: VMState) -> Tuple[int, int, int]:
+        """Returns (r0, executed instructions, summed helper cost)."""
         regs: List[Any] = [0] * NR_REGS
         regs[R1] = _CTX_BASE
         regs[R10] = _STACK_TOP
@@ -107,7 +130,7 @@ class VM:
         nr_insns = len(insns)
         pc = 0
         executed = 0
-        cost = self.entry_cost_ns
+        helper_ns = 0
 
         while True:
             if pc < 0 or pc >= nr_insns:
@@ -156,7 +179,7 @@ class VM:
                 regs[R0] = result & _U64 if isinstance(result, int) else result
                 for i in range(1, 6):
                     regs[i] = 0  # caller-saved registers are clobbered
-                cost += spec.cost_ns
+                helper_ns += spec.cost_ns
             elif op == OP_LD_MAP:
                 if not 0 <= insn.imm < len(program.maps):
                     raise RuntimeFault(f"{program.name}: bad map index {insn.imm}")
@@ -167,13 +190,12 @@ class VM:
                 raise RuntimeFault(f"{program.name}: illegal opcode {op!r}")
             pc += 1
 
-        cost += executed * self.per_insn_ns
-        program.run_count += 1
-        program.insns_executed += executed
         result = regs[R0]
         if not isinstance(result, int):
+            program.run_count += 1
+            program.insns_executed += executed
             raise RuntimeFault(f"{program.name}: R0 holds a non-scalar at exit")
-        return result & _U64, cost
+        return result & _U64, executed, helper_ns
 
     # ------------------------------------------------------------------
     @staticmethod

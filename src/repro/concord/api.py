@@ -15,15 +15,17 @@ API                          Description                                 Hazard
 ===========================  ==========================================  =====================
 
 Each hook has a :class:`~repro.bpf.program.ContextLayout` (the read-only
-struct its program receives) and a *packer* that builds the context from
-the lock's hook environment.  :func:`make_hook_fn` glues a verified
-program to a lock's :class:`~repro.locks.base.HookSet` slot.
+struct its program receives) and a *packer* that builds the context
+values, in layout order, straight from the lock's hook environment.
+:func:`make_hook_fn` glues a verified program to a lock's
+:class:`~repro.locks.base.HookSet` slot.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Tuple
+from typing import Any, Callable, Dict, List, Tuple
 
+from ..bpf.helpers import int_annotation
 from ..bpf.program import ContextLayout
 from ..bpf.vm import VM
 from ..locks.base import (
@@ -130,56 +132,64 @@ HOOK_HAZARDS: Dict[str, str] = {
 assert set(LAYOUT_FOR_HOOK) == set(ALL_HOOKS)
 
 
-def _node_fields(prefix: str, node, now: int) -> Dict[str, int]:
+_NO_NODE = (0, 0, 0, 0, 0, 0)
+
+
+def _node(node, now) -> Tuple[int, ...]:
+    """``tid, cpu, socket, prio, wait_ns, held_locks`` of one queue node
+    (zeros if absent)."""
     if node is None:
-        return {}
+        return _NO_NODE
     task = node.task
-    return {
-        f"{prefix}_tid": task.tid,
-        f"{prefix}_cpu": node.cpu,
-        f"{prefix}_socket": node.socket,
-        f"{prefix}_prio": node.priority,
-        f"{prefix}_wait_ns": max(0, now - node.enqueue_time),
-        f"{prefix}_held_locks": len(task.held_locks),
-    }
+    wait = now - node.enqueue_time
+    return (
+        task.tid,
+        node.cpu,
+        node.socket,
+        int(node.priority),
+        int(wait) if wait > 0 else 0,
+        len(task.held_locks),
+    )
 
 
-def _pack_cmp_node(env: Dict[str, Any], lock_id: int, now: int) -> Dict[str, int]:
-    values: Dict[str, int] = {"lock_id": lock_id}
-    values.update(_node_fields("shuffler", env.get("shuffler_node"), now))
+def _pack_cmp_node(env: Dict[str, Any], lock_id: int, now) -> List[int]:
     curr = env.get("curr_node")
-    values.update(_node_fields("curr", curr, now))
-    if curr is not None:
-        values["curr_boost"] = curr.task.tags.get("boost", 0)
-        values["curr_cs_hint"] = curr.meta.get("cs_hint", 0)
+    values = [lock_id, *_node(env.get("shuffler_node"), now), *_node(curr, now)]
+    if curr is None:
+        values += (0, 0)
+    else:
+        values += (int_annotation(curr.task.tags, "boost"), int_annotation(curr.meta, "cs_hint"))
     return values
 
 
-def _pack_skip_shuffle(env: Dict[str, Any], lock_id: int, now: int) -> Dict[str, int]:
-    values: Dict[str, int] = {"lock_id": lock_id}
-    values.update(_node_fields("shuffler", env.get("shuffler_node"), now))
-    return values
+def _pack_skip_shuffle(env: Dict[str, Any], lock_id: int, now) -> List[int]:
+    return [lock_id, *_node(env.get("shuffler_node"), now)[:5]]
 
 
-def _pack_schedule_waiter(env: Dict[str, Any], lock_id: int, now: int) -> Dict[str, int]:
-    values: Dict[str, int] = {"lock_id": lock_id}
-    values.update(_node_fields("curr", env.get("curr_node"), now))
-    lock = env.get("lock")
-    values["spin_budget_ns"] = getattr(lock, "spin_budget_ns", 0)
-    return values
+def _pack_schedule_waiter(env: Dict[str, Any], lock_id: int, now) -> List[int]:
+    node = _node(env.get("curr_node"), now)[:5]
+    return [lock_id, *node, int(getattr(env.get("lock"), "spin_budget_ns", 0))]
 
 
-def _pack_lock_event(env: Dict[str, Any], lock_id: int, now: int, event: int) -> Dict[str, int]:
-    task = env["task"]
-    return {
-        "lock_id": lock_id,
-        "event": event,
-        "tid": task.tid,
-        "cpu": task.cpu_id,
-        "socket": task.numa_node,
-        "prio": task.priority,
-        "now_ns": now,
-    }
+def _lock_event_packer(event: int) -> Callable[[Dict[str, Any], int, Any], List[int]]:
+    def pack(env: Dict[str, Any], lock_id: int, now) -> List[int]:
+        task = env["task"]
+        return [lock_id, event, task.tid, task.cpu_id, task.numa_node, int(task.priority), int(now)]
+
+    return pack
+
+
+#: hook -> packer(env, lock_id, now): the hook's context values in layout
+#: order.  Simulator-assigned ids and counts go in as they are; sim times
+#: (floats on AMP machines), priorities, tags and node metadata pass
+#: through ``int()``, as :meth:`ContextLayout.pack` would.
+_PACKERS: Dict[str, Callable[[Dict[str, Any], int, Any], List[int]]] = {
+    HOOK_CMP_NODE: _pack_cmp_node,
+    HOOK_SKIP_SHUFFLE: _pack_skip_shuffle,
+    HOOK_SCHEDULE_WAITER: _pack_schedule_waiter,
+    **{hook: _lock_event_packer(event) for hook, event in EVENT_IDS.items()},
+}
+assert set(_PACKERS) == set(ALL_HOOKS)
 
 
 def make_hook_fn(
@@ -200,21 +210,13 @@ def make_hook_fn(
             f"program {program.name!r} was compiled against layout "
             f"{program.ctx_layout.name!r}; hook {hook!r} needs {layout.name!r}"
         )
-    event = EVENT_IDS.get(hook)
+    pack = _PACKERS[hook]
 
     def fn(env: Dict[str, Any]) -> Tuple[int, int]:
         lock = env["lock"]
         engine = lock.engine
-        lock_id = lock_id_of(lock)
-        if event is None:
-            if hook == HOOK_CMP_NODE:
-                values = _pack_cmp_node(env, lock_id, engine.now)
-            elif hook == HOOK_SKIP_SHUFFLE:
-                values = _pack_skip_shuffle(env, lock_id, engine.now)
-            else:
-                values = _pack_schedule_waiter(env, lock_id, engine.now)
-        else:
-            values = _pack_lock_event(env, lock_id, engine.now, event)
-        return vm.run(program, layout.pack(values), task=env.get("task"), engine=engine)
+        # Lock ids are handed out lazily in first-use order: look up per call.
+        values = pack(env, lock_id_of(lock), engine.now)
+        return vm.run(program, values, task=env.get("task"), engine=engine)
 
     return fn

@@ -12,6 +12,7 @@ from repro.bpf.insn import (
     OP_LDX,
     OP_LD_MAP,
     OP_MOV,
+    OP_ST,
     OP_STX,
     R0,
     R1,
@@ -126,6 +127,30 @@ class TestStructuralRejections:
     def test_bad_register_index(self):
         reject([Insn(OP_LDC, dst=14, imm=0), Insn(OP_EXIT)], "does not exist")
 
+    @pytest.mark.parametrize(
+        "insn,fragment",
+        [
+            (Insn("add", dst=None, imm=1), "needs a dst register"),
+            (Insn(OP_MOV, dst=None, imm=1), "needs a dst register"),
+            (Insn(OP_LDX, dst=None, src=R1), "needs a dst register"),
+            (Insn(OP_ST, dst=None, off=-8, imm=1), "needs a dst register"),
+            (Insn("jeq", dst=None, imm=0, off=1), "needs a dst register"),
+            (Insn(OP_LDX, dst=R2, src=None), "needs a src register"),
+            (Insn(OP_STX, dst=R10, src=None, off=-8), "needs a src register"),
+            (Insn(OP_LDX, dst=R2, src=R1, off=None), "off=None is not an integer"),
+            (Insn(OP_LDC, dst=R2, imm=1.5), "imm=1.5 is not an integer"),
+            (Insn(OP_MOV, dst=R2, src=1.0), "does not exist"),
+            (Insn(None), "not an opcode name"),
+        ],
+        ids=[
+            "add-no-dst", "mov-no-dst", "ldx-no-dst", "st-no-dst", "jeq-no-dst",
+            "ldx-no-src", "stx-no-src", "off-none", "imm-float", "src-float", "op-none",
+        ],
+    )
+    def test_malformed_instruction_rejected(self, insn, fragment):
+        """Rejected with a VerificationError, not a crash in the checker."""
+        reject([Insn(OP_LDC, dst=R0, imm=0), insn, Insn(OP_EXIT)], fragment)
+
 
 class TestDataflowRejections:
     def test_uninitialized_register_use(self):
@@ -192,6 +217,37 @@ class TestDataflowRejections:
                 Insn(OP_EXIT),
             ],
             "known constant",
+        )
+
+    def test_pointer_offsets_are_u64_like_the_vm(self):
+        """-8 spelled as a u64 moves the pointer exactly as the VM does."""
+        report = verify(
+            [
+                Insn(OP_MOV, dst=R2, src=R10),
+                Insn("add", dst=R2, imm=(1 << 64) - 8),
+                Insn(OP_ST, dst=R2, off=0, imm=5),
+                Insn(OP_LDX, dst=R0, src=R10, off=-8),
+                Insn(OP_EXIT),
+            ]
+        )
+        assert report.program.compiled is not None
+
+    def test_pointer_offset_the_vm_cannot_reach_rejected(self):
+        # As u64 arithmetic these steps leave r2 far outside the stack;
+        # unmasked constants (2**64 dropped, -16 >> 1) would land on slot
+        # -8 instead.
+        reject(
+            [
+                Insn(OP_ST, dst=R10, off=-8, imm=7),
+                Insn(OP_MOV, dst=R2, src=R10),
+                Insn("add", dst=R2, imm=-(1 << 64)),
+                Insn(OP_LDC, dst=R3, imm=-16),
+                Insn("rsh", dst=R3, imm=1),
+                Insn("add", dst=R2, src=R3),
+                Insn(OP_LDX, dst=R0, src=R2, off=0),
+                Insn(OP_EXIT),
+            ],
+            "out of range",
         )
 
     def test_pointer_multiplication_rejected(self):

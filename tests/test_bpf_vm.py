@@ -1,8 +1,18 @@
 """BPF VM semantics: ALU, jumps, memory, helpers, runtime guards, costs."""
 
+import copy
+
 import pytest
 
-from repro.bpf import ContextLayout, HashMap, Program, RuntimeFault, VM
+from repro.bpf import (
+    ContextLayout,
+    HashMap,
+    Program,
+    RuntimeFault,
+    VerificationError,
+    Verifier,
+    VM,
+)
 from repro.bpf.insn import (
     Insn,
     OP_CALL,
@@ -26,10 +36,23 @@ U64 = (1 << 64) - 1
 
 
 def run(insns, ctx=None, maps=None, task=None, engine=None, **vm_kwargs):
-    program = Program("t", insns, LAYOUT, maps=maps)
+    """Interpret ``insns``.  When the verifier accepts them, also run them
+    compiled, on copies of the maps, and require the same result, so every
+    case that does not fault checks both paths.  (The faulting cases need
+    programs the verifier rejects: only the interpreter runs those.)"""
     vm = VM(**vm_kwargs)
     values = LAYOUT.pack(ctx or {})
-    return vm.run(program, values, task=task, engine=engine)
+    copies = copy.deepcopy(maps)
+    program = Program("t", insns, LAYOUT, maps=maps)
+    result = vm.run(program, values, task=task, engine=engine)
+    compiled = Program("t", insns, LAYOUT, maps=copies)
+    try:
+        Verifier().verify(compiled)
+    except VerificationError:
+        return result
+    assert vm.run(compiled, values, task=task, engine=engine) == result
+    assert [vars(m) for m in compiled.maps] == [vars(m) for m in program.maps]
+    return result
 
 
 class TestALU:
@@ -266,9 +289,12 @@ class TestGuardsAndCosts:
         assert c2 > c1
 
     def test_run_stats_accumulate(self):
-        program = Program("t", [Insn(OP_LDC, dst=R0, imm=0), Insn(OP_EXIT)], LAYOUT)
-        vm = VM()
-        vm.run(program, LAYOUT.pack({}))
-        vm.run(program, LAYOUT.pack({}))
-        assert program.run_count == 2
-        assert program.insns_executed == 4
+        for compiled in (False, True):
+            program = Program("t", [Insn(OP_LDC, dst=R0, imm=0), Insn(OP_EXIT)], LAYOUT)
+            if compiled:
+                Verifier().verify(program)
+            vm = VM()
+            vm.run(program, LAYOUT.pack({}))
+            vm.run(program, LAYOUT.pack({}))
+            assert program.run_count == 2
+            assert program.insns_executed == 4

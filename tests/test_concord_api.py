@@ -1,6 +1,9 @@
 """The Table 1 hook API layer: layouts, packers, adapter plumbing."""
 
+from types import SimpleNamespace
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.bpf import VM, compile_policy
 from repro.concord.api import (
@@ -14,7 +17,12 @@ from repro.concord.api import (
 )
 from repro.kernel import Kernel
 from repro.locks import ShflLock
-from repro.locks.base import ALL_HOOKS, HOOK_CMP_NODE, HOOK_LOCK_ACQUIRED
+from repro.locks.base import (
+    ALL_HOOKS,
+    HOOK_CMP_NODE,
+    HOOK_LOCK_ACQUIRED,
+    HOOK_SKIP_SHUFFLE,
+)
 from repro.locks.shfllock import ShflNode
 from repro.sim import Topology, ops
 
@@ -153,3 +161,89 @@ class TestHookFn:
         kernel.spawn(run, cpu=0)
         kernel.run()
         assert result["boost"] == 3
+
+
+# ----------------------------------------------------------------------
+# Packers against the dict-then-pack reference they replaced
+# ----------------------------------------------------------------------
+def _reference_values(hook, env, lock_id, now):
+    """The context dict the packers used to build before ``layout.pack``."""
+
+    def node_fields(prefix, node):
+        if node is None:
+            return {}
+        task = node.task
+        return {
+            f"{prefix}_tid": task.tid,
+            f"{prefix}_cpu": node.cpu,
+            f"{prefix}_socket": node.socket,
+            f"{prefix}_prio": node.priority,
+            f"{prefix}_wait_ns": max(0, now - node.enqueue_time),
+            f"{prefix}_held_locks": len(task.held_locks),
+        }
+
+    values = {"lock_id": lock_id}
+    if hook in EVENT_IDS:
+        task = env["task"]
+        values.update(event=EVENT_IDS[hook], tid=task.tid, cpu=task.cpu_id,
+                      socket=task.numa_node, prio=task.priority, now_ns=now)
+    elif hook == HOOK_CMP_NODE:
+        values.update(node_fields("shuffler", env.get("shuffler_node")))
+        curr = env.get("curr_node")
+        values.update(node_fields("curr", curr))
+        if curr is not None:
+            values["curr_boost"] = curr.task.tags.get("boost", 0)
+            values["curr_cs_hint"] = curr.meta.get("cs_hint", 0)
+    elif hook == HOOK_SKIP_SHUFFLE:
+        values.update(node_fields("shuffler", env.get("shuffler_node")))
+    else:
+        values.update(node_fields("curr", env.get("curr_node")))
+        values["spin_budget_ns"] = getattr(env.get("lock"), "spin_budget_ns", 0)
+    return values
+
+
+class _CaptureVM(VM):
+    def run(self, program, ctx_values, task=None, engine=None):
+        self.ctx = list(ctx_values)
+        return 0, 0
+
+
+_time = st.one_of(st.integers(min_value=0, max_value=1 << 40), st.floats(0, 1e9))
+_num = st.one_of(st.integers(min_value=-(1 << 40), max_value=1 << 40), st.floats(-1e9, 1e9))
+_ids = st.integers(min_value=0, max_value=1 << 16)
+
+
+@st.composite
+def _node(draw):
+    if draw(st.booleans()):
+        return None
+    task = SimpleNamespace(
+        tid=draw(_ids),
+        held_locks=[object()] * draw(st.integers(min_value=0, max_value=3)),
+        tags=draw(st.dictionaries(st.just("boost"), _num, max_size=1)),
+    )
+    return SimpleNamespace(
+        task=task, cpu=draw(_ids), socket=draw(_ids), priority=draw(_num),
+        enqueue_time=draw(_time), meta=draw(st.dictionaries(st.just("cs_hint"), _num, max_size=1)),
+    )
+
+
+@given(
+    hook=st.sampled_from(sorted(ALL_HOOKS)),
+    now=_time,
+    lock_id=_ids,
+    shuffler=_node(),
+    curr=_node(),
+    task=st.builds(SimpleNamespace, tid=_ids, cpu_id=_ids, numa_node=_ids, priority=_num),
+    spin_budget=_num,
+)
+@settings(max_examples=300, deadline=None)
+def test_packers_match_dict_then_pack(hook, now, lock_id, shuffler, curr, task, spin_budget):
+    layout = LAYOUT_FOR_HOOK[hook]
+    vm = _CaptureVM()
+    fn = make_hook_fn(hook, compile_policy("def f(ctx):\n    return 0\n", layout), vm,
+                      lambda lock: lock_id)
+    lock = SimpleNamespace(engine=SimpleNamespace(now=now), spin_budget_ns=spin_budget)
+    env = {"lock": lock, "task": task, "shuffler_node": shuffler, "curr_node": curr}
+    fn(env)
+    assert vm.ctx == layout.pack(_reference_values(hook, env, lock_id, now))

@@ -239,3 +239,47 @@ class TestCombiners:
         assert combine_results("first", [7, 8]) == 7
         assert combine_results("sum", [1, 2, 3]) == 6
         assert combine_results("or", []) == 0
+
+
+class TestTaskTags:
+    """``tag()`` reads a task annotation through ``int()``; a value
+    ``int()`` rejects is a runtime fault the circuit breaker absorbs."""
+
+    def _hammer(self, concord, kernel, prio):
+        from repro.bpf.maps import HashMap
+
+        seen = HashMap("seen")
+        concord.load_policy(
+            PolicySpec(
+                name="read-prio",
+                hook=HOOK_LOCK_ACQUIRED,
+                source='def f(ctx):\n    seen.update(ctx.tid, tag("prio"))\n    return tag("prio")\n',
+                maps={"seen": seen},
+                lock_selector="a.lock",
+            )
+        )
+        site = kernel.locks.get("a.lock")
+
+        def worker(task):
+            task.tags["prio"] = prio
+            task.stats["ops"] = 0
+            for _ in range(8):
+                yield from site.acquire(task)
+                yield ops.Delay(100)
+                yield from site.release(task)
+                task.stats["ops"] += 1
+
+        task = kernel.spawn(worker, cpu=0)
+        kernel.run()
+        return task, seen
+
+    def test_float_tag_reads_as_its_int(self, concord, kernel):
+        task, seen = self._hammer(concord, kernel, 2.5)
+        assert seen[task.tid] == 2
+        assert task.stats["ops"] == 8
+
+    def test_non_integer_tag_trips_the_breaker(self, concord, kernel):
+        task, seen = self._hammer(concord, kernel, "high")
+        assert task.stats["ops"] == 8
+        assert len(seen) == 0
+        assert any(e.kind == "breaker-tripped" for e in concord.events)

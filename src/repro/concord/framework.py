@@ -382,17 +382,10 @@ class Concord:
     # ------------------------------------------------------------------
     # Lock switching and parameters (the other half of C3)
     # ------------------------------------------------------------------
-    def switch_lock(
-        self, lock_name: str, new_impl_factory: Callable[[Lock], Lock], **drain_kwargs
-    ):
-        """Replace a lock's implementation on the fly (drain semantics).
-
-        ``drain_kwargs`` pass through to :meth:`Patcher.enable` — e.g.
-        ``quiesce_deadline_ns`` for a bounded drain.
-        """
-        patch = self.kernel.patcher.switch_lock(
-            lock_name, new_impl_factory, **drain_kwargs
-        )
+    def switch_lock(self, lock_name: str, new_impl_factory: Callable[[Lock], Lock]):
+        """Replace a lock's implementation on the fly (drain semantics,
+        unbounded: the switch installs whenever the lock next quiesces)."""
+        patch = self.kernel.patcher.switch_lock(lock_name, new_impl_factory)
         self._notify("switched", f"{lock_name}: implementation switch requested")
         return patch
 

@@ -26,8 +26,8 @@ The detector keeps, per lock, the highest-throughput window it has ever
 seen (the *reference* — the healthy regime near the knee).  A later
 window is a collapse when **both** hold:
 
-* tail blowup: ``p99_wait >= p99_blowup x max(ref p99, tail_floor_ns)``
-* throughput drop: ``rate <= (1 - rate_drop) x ref rate``
+* tail blowup: ``p99_wait >= P99_BLOWUP x max(ref p99, TAIL_FLOOR_NS)``
+* throughput drop: ``rate <= (1 - RATE_DROP) x ref rate``
 
 Either alone is ambiguous — a p99 spike with rising throughput is just
 more load; falling throughput with a flat tail is the *workload*
@@ -48,14 +48,14 @@ mutex.  That is the Malthusian insight in one number: a saturated lock
 needs roughly one holder plus one spinning successor to keep handoffs
 cheap, and every admitted waiter beyond that was already pure coherence
 overhead at peak.  The cull therefore parks everyone beyond
-``max(min_cap, ceil(L))`` — in practice ``min_cap`` (default 2: holder
-+ one spinner) for any saturated lock.
+``max(MIN_CAP, ceil(L))`` (at most ``MAX_CAP``) — in practice
+``MIN_CAP`` (2: holder + one spinner) for any saturated lock.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, Dict, List, NamedTuple, Optional, Sequence
+from typing import Callable, Dict, List, NamedTuple, Optional
 
 from ..concord.profiler import ProfileReport, ProfileSession
 from ..faults.registry import (
@@ -77,6 +77,27 @@ __all__ = [
     "culling_impl_factory",
     "default_cull_guard",
 ]
+
+#: The collapse signature (module docstring): a tail ``P99_BLOWUP``
+#: times the reference p99 (floored at ``TAIL_FLOOR_NS``) together
+#: with a rate at most ``1 - RATE_DROP`` of the reference rate.
+P99_BLOWUP = 3.0
+RATE_DROP = 0.25
+TAIL_FLOOR_NS = 200.0
+
+#: A lock with fewer acquisitions in a window is not judged on it.
+MIN_ACQUIRED = 20
+
+#: Bounds of the suggested cull cap.
+MIN_CAP = 2
+MAX_CAP = 8
+
+#: Post-promotion clearance (:meth:`AdaptationLoop._judge_clearance`):
+#: a kept cull's p99 stays within ``MAX_RESIDUAL_TAIL`` times the
+#: collapsed p99 and its rate recovers to ``RECOVER_FRACTION`` of the
+#: healthy reference rate.
+MAX_RESIDUAL_TAIL = 2.0
+RECOVER_FRACTION = 0.75
 
 
 class AdaptationError(ControlPlaneError):
@@ -114,25 +135,7 @@ class _Reference(NamedTuple):
 class CollapseDetector:
     """Recognize the collapse signature in successive profiler windows."""
 
-    def __init__(
-        self,
-        p99_blowup: float = 3.0,
-        rate_drop: float = 0.25,
-        min_acquired: int = 20,
-        tail_floor_ns: float = 200.0,
-        min_cap: int = 2,
-        max_cap: int = 8,
-    ) -> None:
-        if p99_blowup <= 1.0:
-            raise ValueError(f"p99_blowup must be > 1, got {p99_blowup}")
-        if not 0.0 < rate_drop < 1.0:
-            raise ValueError(f"rate_drop must be in (0, 1), got {rate_drop}")
-        self.p99_blowup = p99_blowup
-        self.rate_drop = rate_drop
-        self.min_acquired = min_acquired
-        self.tail_floor_ns = tail_floor_ns
-        self.min_cap = min_cap
-        self.max_cap = max_cap
+    def __init__(self) -> None:
         self._references: Dict[str, _Reference] = {}
 
     def reference(self, lock_name: str) -> Optional[_Reference]:
@@ -169,11 +172,11 @@ class CollapseDetector:
     def suggest_cap(self, ref: _Reference) -> int:
         """Little's law on the reference window (see module docstring):
         ``rate x avg_hold`` is the mean holder count (utilization), and
-        the cap admits that many plus the ``min_cap`` floor's spinning
+        the cap admits that many plus the ``MIN_CAP`` floor's spinning
         successor."""
         rate_per_ns = ref.rate_per_ms / 1e6
         holders = rate_per_ns * ref.avg_hold_ns
-        return max(self.min_cap, min(self.max_cap, math.ceil(holders)))
+        return max(MIN_CAP, min(MAX_CAP, math.ceil(holders)))
 
     def observe(self, report: ProfileReport) -> List[CollapseSignal]:
         """Fold one window in; returns the collapses it evidences.
@@ -183,7 +186,7 @@ class CollapseDetector:
         """
         signals: List[CollapseSignal] = []
         for profile in report.profiles:
-            if profile.acquired < self.min_acquired:
+            if profile.acquired < MIN_ACQUIRED:
                 continue
             name = profile.lock_name
             rate = report.rate_per_ms(name)
@@ -191,8 +194,8 @@ class CollapseDetector:
             ref = self._references.get(name)
             if (
                 ref is not None
-                and p99 >= self.p99_blowup * max(ref.p99_ns, self.tail_floor_ns)
-                and rate <= (1.0 - self.rate_drop) * ref.rate_per_ms
+                and p99 >= P99_BLOWUP * max(ref.p99_ns, TAIL_FLOOR_NS)
+                and rate <= (1.0 - RATE_DROP) * ref.rate_per_ms
             ):
                 signals.append(
                     CollapseSignal(
@@ -290,8 +293,6 @@ class AdaptationLoop:
         baseline_ns: int = 60_000,
         canary_ns: int = 60_000,
         check_every_ns: int = 20_000,
-        max_residual_tail: float = 2.0,
-        recover_fraction: float = 0.75,
         cap_override: Optional[int] = None,
         client_id: str = "adaptd",
     ) -> None:
@@ -306,8 +307,6 @@ class AdaptationLoop:
         self.baseline_ns = baseline_ns
         self.canary_ns = canary_ns
         self.check_every_ns = check_every_ns
-        self.max_residual_tail = max_residual_tail
-        self.recover_fraction = recover_fraction
         self.cap_override = cap_override
         self.client_id = client_id
         #: lock name -> number of proposals ever made for it (names the
@@ -356,18 +355,18 @@ class AdaptationLoop:
         except JournalError:
             pass  # history lost, correctness carried by daemon recovery
 
-    def observe_window(self, window_ns: Optional[int] = None) -> ProfileReport:
-        """Profile one window of simulated time (pooled in fleet mode)."""
-        window = window_ns if window_ns is not None else self.window_ns
+    def observe_window(self) -> ProfileReport:
+        """Profile one ``window_ns`` of simulated time (pooled in fleet
+        mode)."""
         if self.daemon is not None:
             session = ProfileSession(self.daemon.concord, self.selector)
             kernel = self.daemon.kernel
-            kernel.run(until=kernel.now + window)
+            kernel.run(until=kernel.now + self.window_ns)
             return session.stop()
         sessions = []
         for member in self.coordinator.fleet.active_members():
             sessions.append(ProfileSession(member.concord, self.selector))
-        self._advance(window)
+        self._advance(self.window_ns)
         return pool_reports(session.stop() for session in sessions)
 
     # ------------------------------------------------------------------
@@ -550,10 +549,10 @@ class AdaptationLoop:
         admitted spinners wait almost nothing, parked waiters wait a
         park round-trip — so "the tail cleared" cannot mean "p99
         shrank".  It means the collapse signature is *gone*: throughput
-        back above ``recover_fraction`` of the healthy reference rate
-        (an over-aggressive cap leaves it on the floor), and the
-        residual parked tail bounded by ``max_residual_tail`` times the
-        collapsed p99 (a cull that made waiting strictly worse is no
+        back above :data:`RECOVER_FRACTION` of the healthy reference
+        rate (an over-aggressive cap leaves it on the floor), and the
+        residual parked tail bounded by :data:`MAX_RESIDUAL_TAIL` times
+        the collapsed p99 (a cull that made waiting strictly worse is no
         defense).  A cull that passed its canary but failed either is
         rolled back.
         """
@@ -564,8 +563,8 @@ class AdaptationLoop:
         p99 = profile.quantile(0.99)
         rate = post.rate_per_ms(signal.lock_name)
         metrics = {"p99_ns": p99, "rate_per_ms": rate}
-        bounded = p99 <= self.max_residual_tail * signal.p99_ns
-        recovered = rate >= self.recover_fraction * signal.ref_rate_per_ms
+        bounded = p99 <= MAX_RESIDUAL_TAIL * signal.p99_ns
+        recovered = rate >= RECOVER_FRACTION * signal.ref_rate_per_ms
         verdict = (
             f"post-cull p99 {p99:.0f}ns vs collapsed {signal.p99_ns:.0f}ns, "
             f"rate {rate:.1f} vs reference {signal.ref_rate_per_ms:.1f} ops/ms"

@@ -24,7 +24,7 @@ state with everything else; compaction keeps only the newest entry
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..concord.profiler import LockProfile, ProfileReport
 from .guards import Breach, Guard, GuardVerdict, _lock_deltas
@@ -33,6 +33,14 @@ __all__ = ["BaselineGuard", "LearnedBaseline", "MetricBaseline", "metric_value"]
 
 #: The statistics a baseline learns per lock.
 BASELINE_METRICS: Tuple[str, ...] = ("avg_wait_ns", "avg_hold_ns", "p99_wait_ns")
+
+#: Windows with fewer acquisitions of a lock neither teach nor judge it.
+MIN_ACQUIRED = 20
+
+#: :class:`BaselineGuard` budgets: ``mean + K_SIGMA·σ``, at least
+#: ``mean + FLOOR_NS``.
+K_SIGMA = 3.0
+FLOOR_NS = 100.0
 
 
 def metric_value(profile: LockProfile, metric: str) -> float:
@@ -96,19 +104,13 @@ class LearnedBaseline:
     JSON-safe dict (:meth:`serialize` / :meth:`load`) for journaling.
     """
 
-    def __init__(
-        self,
-        alpha: float = 0.3,
-        min_samples: int = 3,
-        min_acquired: int = 20,
-        metrics: Sequence[str] = BASELINE_METRICS,
-    ) -> None:
+    metrics = BASELINE_METRICS
+
+    def __init__(self, alpha: float = 0.3, min_samples: int = 3) -> None:
         if not 0.0 < alpha <= 1.0:
             raise ValueError(f"alpha must be in (0, 1], got {alpha}")
         self.alpha = alpha
         self.min_samples = min_samples
-        self.min_acquired = min_acquired
-        self.metrics = tuple(metrics)
         self._locks: Dict[str, Dict[str, MetricBaseline]] = {}
 
     def observe(self, report: ProfileReport) -> int:
@@ -120,7 +122,7 @@ class LearnedBaseline:
         """
         updated = 0
         for profile in report.profiles:
-            if profile.acquired < self.min_acquired:
+            if profile.acquired < MIN_ACQUIRED:
                 continue
             per_metric = self._locks.setdefault(profile.lock_name, {})
             for metric in self.metrics:
@@ -197,33 +199,19 @@ class BaselineGuard(Guard):
     trusted yet" semantics the SLO guards use for cold windows.
     """
 
-    def __init__(
-        self,
-        baselines: LearnedBaseline,
-        k_sigma: float = 3.0,
-        dry_run: bool = True,
-        min_acquired: int = 20,
-        floor_ns: float = 100.0,
-        metrics: Optional[Sequence[str]] = None,
-    ) -> None:
+    def __init__(self, baselines: LearnedBaseline, dry_run: bool = True) -> None:
         self.baselines = baselines
-        self.k_sigma = k_sigma
         self.dry_run = dry_run
-        self.min_acquired = min_acquired
-        self.floor_ns = floor_ns
-        self.metrics = tuple(metrics) if metrics is not None else baselines.metrics
 
     def evaluate(self, baseline: ProfileReport, canary: ProfileReport) -> GuardVerdict:
         deltas, missing = _lock_deltas(baseline, canary)
         breaches: List[Breach] = []
         judged = 0
         for profile in canary.profiles:
-            if profile.acquired < self.min_acquired:
+            if profile.acquired < MIN_ACQUIRED:
                 continue
-            for metric in self.metrics:
-                budget = self.baselines.budget(
-                    profile.lock_name, metric, self.k_sigma, self.floor_ns
-                )
+            for metric in self.baselines.metrics:
+                budget = self.baselines.budget(profile.lock_name, metric, K_SIGMA, FLOOR_NS)
                 if budget is None:
                     continue
                 judged += 1

@@ -27,7 +27,7 @@ from typing import List, Optional
 from ..concord.framework import Concord
 from ..concord.profiler import ProfileSession, ProfilerStall
 from ..faults import fault_point
-from .lifecycle import AuditLog, PolicyRecord, PolicyState
+from .lifecycle import AuditLog, LifecycleError, PolicyRecord, PolicyState
 from .guards import SLOGuard
 
 __all__ = ["CanaryRollout", "DEFAULT_MAX_SNAPSHOT_STALLS"]
@@ -35,6 +35,13 @@ __all__ = ["CanaryRollout", "DEFAULT_MAX_SNAPSHOT_STALLS"]
 #: Consecutive profiler-snapshot stalls the canary watchdog tolerates
 #: before force-resolving the watch window to ROLLED_BACK.
 DEFAULT_MAX_SNAPSHOT_STALLS = 3
+
+#: Simulated time the canary install gets to let impl-switch drains
+#: engage before the canary window starts measuring.
+SETTLE_NS = 2_000
+
+#: Smallest default canary subset.
+MIN_CANARY_LOCKS = 1
 
 
 class CanaryRollout:
@@ -46,13 +53,13 @@ class CanaryRollout:
         self.audit = audit
 
     # ------------------------------------------------------------------
-    def plan(self, targets: List[str], fraction: float, min_locks: int) -> List[str]:
+    def plan(self, targets: List[str], fraction: float) -> List[str]:
         """The default canary subset: deterministic (sorted prefix), at
-        least ``min_locks``, never the whole fleet unless the fleet is
-        tiny.  The fleet planner replaces this with a placement-aware
-        subset via ``run(..., canary_locks=...)``."""
+        least :data:`MIN_CANARY_LOCKS`, never the whole fleet unless the
+        fleet is tiny.  The fleet planner replaces this with a
+        placement-aware subset via ``run(..., canary_locks=...)``."""
         ordered = sorted(targets)
-        count = max(min_locks, math.ceil(len(ordered) * fraction))
+        count = max(MIN_CANARY_LOCKS, math.ceil(len(ordered) * fraction))
         return ordered[: min(count, len(ordered))]
 
     # ------------------------------------------------------------------
@@ -63,11 +70,7 @@ class CanaryRollout:
         baseline_ns: int,
         canary_ns: int,
         canary_fraction: float = 0.5,
-        min_canary_locks: int = 1,
         check_every_ns: Optional[int] = None,
-        settle_ns: int = 2_000,
-        max_snapshot_stalls: int = DEFAULT_MAX_SNAPSHOT_STALLS,
-        drain_deadline_ns: Optional[int] = None,
         canary_locks: Optional[List[str]] = None,
     ) -> PolicyRecord:
         """Drive one record VERIFIED → CANARY → ACTIVE/ROLLED_BACK.
@@ -76,22 +79,15 @@ class CanaryRollout:
         an explicit one (the fleet planner's placement-aware pick); every
         name must be inside the selector's resolved targets.
 
-        Robustness knobs:
-
-        * ``max_snapshot_stalls`` — the **canary watchdog**: a watch
-          window whose profiler snapshots keep stalling can never
-          produce a verdict, so after this many *consecutive* stalls
-          the window is force-resolved to ROLLED_BACK rather than
-          left running an unjudged policy.
-        * ``drain_deadline_ns`` — passed to the livepatcher as a
-          quiesce deadline for every canary impl switch (``None`` keeps
-          the unbounded legacy drain).  A switch that cannot quiesce
-          raises :class:`~repro.livepatch.PatchError`, which resolves
-          the record to ROLLED_BACK with everything unwound.
+        The **canary watchdog**: a watch window whose profiler snapshots
+        keep stalling can never produce a verdict, so after
+        :data:`DEFAULT_MAX_SNAPSHOT_STALLS` *consecutive* stalls the
+        window is force-resolved to ROLLED_BACK rather than left running
+        an unjudged policy.  Impl switches drain unbounded; an install
+        that raises resolves the record to ROLLED_BACK with everything
+        unwound.
         """
         if record.state is not PolicyState.VERIFIED:
-            from .lifecycle import LifecycleError
-
             raise LifecycleError(
                 f"{record.name}: rollout needs state VERIFIED, record is {record.state}"
             )
@@ -101,19 +97,15 @@ class CanaryRollout:
         if canary_locks is not None:
             outside = [name for name in canary_locks if name not in targets]
             if outside:
-                from .lifecycle import LifecycleError
-
                 raise LifecycleError(
                     f"{record.name}: canary locks outside the selector's "
                     f"targets: {', '.join(outside)}"
                 )
             canary_locks = list(dict.fromkeys(canary_locks))
             if not canary_locks:
-                from .lifecycle import LifecycleError
-
                 raise LifecycleError(f"{record.name}: empty explicit canary subset")
         else:
-            canary_locks = self.plan(targets, canary_fraction, min_canary_locks)
+            canary_locks = self.plan(targets, canary_fraction)
         record.canary_locks = canary_locks
         rest = [name for name in targets if name not in canary_locks]
 
@@ -124,7 +116,7 @@ class CanaryRollout:
 
         # -- 2. install on the canary subset ---------------------------
         try:
-            self._install(record, canary_locks, drain_deadline_ns)
+            self._install(record, canary_locks)
         except Exception as exc:
             # _install unwound everything it had applied; the record
             # resolves terminally so quota and audit stay truthful.
@@ -143,9 +135,8 @@ class CanaryRollout:
             self.audit,
             self.kernel.now,
         )
-        if settle_ns:
-            # Let impl-switch drains engage before measuring.
-            self.kernel.run(until=self.kernel.now + settle_ns)
+        # Let impl-switch drains engage before measuring.
+        self.kernel.run(until=self.kernel.now + SETTLE_NS)
 
         # -- 3. canary window, optionally with mid-benchmark checks ----
         session = ProfileSession(self.concord, canary_locks)
@@ -165,7 +156,7 @@ class CanaryRollout:
                     snap = session.snapshot()
                 except ProfilerStall as exc:
                     stalls += 1
-                    if stalls >= max_snapshot_stalls:
+                    if stalls >= DEFAULT_MAX_SNAPSHOT_STALLS:
                         watchdog = (
                             f"watchdog force-resolved stuck watch window after "
                             f"{stalls} consecutive profiler stalls ({exc})"
@@ -225,30 +216,16 @@ class CanaryRollout:
         return record
 
     # ------------------------------------------------------------------
-    def _install(
-        self,
-        record: PolicyRecord,
-        lock_names: List[str],
-        drain_deadline_ns: Optional[int] = None,
-    ) -> None:
+    def _install(self, record: PolicyRecord, lock_names: List[str]) -> None:
         submission = record.submission
         loaded = []
         applied = []
-        drain_kwargs = (
-            {"quiesce_deadline_ns": drain_deadline_ns}
-            if drain_deadline_ns is not None
-            else {}
-        )
         try:
             for spec in submission.specs:
                 loaded.append(self.concord.load_policy(spec, targets=lock_names))
             if submission.impl_factory is not None:
                 for name in lock_names:
-                    applied.append(
-                        self.concord.switch_lock(
-                            name, submission.impl_factory, **drain_kwargs
-                        )
-                    )
+                    applied.append(self.concord.switch_lock(name, submission.impl_factory))
         except Exception:
             # Unwind *everything* partially applied — later patches
             # first, then the hook programs — so a failed install leaves

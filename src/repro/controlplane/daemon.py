@@ -49,6 +49,11 @@ from .guards import Guard, SLOGuard
 
 __all__ = ["Concordd"]
 
+#: Attempts recovery gives each re-verify / re-load, and the backoff
+#: before the second (doubling after each further failure).
+RECOVERY_ATTEMPTS = 3
+RECOVERY_BACKOFF_NS = 10_000
+
 
 def _unrecoverable_impl(old):
     """Placeholder for an impl factory lost across a daemon restart
@@ -70,11 +75,6 @@ class Concordd:
         baseline_ns / canary_ns: default measurement windows.
         check_every_ns: default mid-benchmark guard check interval
             (``None`` = single end-of-window check).
-        max_snapshot_stalls: canary-watchdog tolerance — consecutive
-            profiler-snapshot stalls before a watch window is
-            force-resolved to ROLLED_BACK.
-        drain_deadline_ns: quiesce deadline for canary impl switches
-            (``None`` keeps the unbounded legacy drain).
         journal: optional :class:`~repro.controlplane.journal.PolicyJournal`
             making every submission and transition crash-safe; required
             for :meth:`recover`.
@@ -94,8 +94,6 @@ class Concordd:
         baseline_ns: int = 400_000,
         canary_ns: int = 400_000,
         check_every_ns: Optional[int] = None,
-        max_snapshot_stalls: int = 3,
-        drain_deadline_ns: Optional[int] = None,
         journal=None,
         impl_registry: Optional[Dict[str, object]] = None,
         budget: Optional[KernelBudget] = None,
@@ -108,8 +106,6 @@ class Concordd:
         self.baseline_ns = baseline_ns
         self.canary_ns = canary_ns
         self.check_every_ns = check_every_ns
-        self.max_snapshot_stalls = max_snapshot_stalls
-        self.drain_deadline_ns = drain_deadline_ns
         self.journal = journal
         self.baselines = baselines
         self.impl_registry: Dict[str, object] = dict(impl_registry or {})
@@ -231,8 +227,6 @@ class Concordd:
         baseline_ns: Optional[int] = None,
         canary_ns: Optional[int] = None,
         check_every_ns: Optional[int] = None,
-        settle_ns: int = 2_000,
-        min_canary_locks: int = 1,
         canary_locks: Optional[List[str]] = None,
         guard: Optional[Guard] = None,
     ) -> PolicyRecord:
@@ -251,11 +245,7 @@ class Concordd:
             baseline_ns=baseline_ns if baseline_ns is not None else self.baseline_ns,
             canary_ns=canary_ns if canary_ns is not None else self.canary_ns,
             canary_fraction=self.canary_fraction,
-            min_canary_locks=min_canary_locks,
             check_every_ns=check_every_ns if check_every_ns is not None else self.check_every_ns,
-            settle_ns=settle_ns,
-            max_snapshot_stalls=self.max_snapshot_stalls,
-            drain_deadline_ns=self.drain_deadline_ns,
             canary_locks=canary_locks,
         )
         self._observe_baselines(result)
@@ -518,27 +508,24 @@ class Concordd:
         )
         return submission, problem
 
-    def _with_retries(self, fn, what: str, attempts: int = 3, backoff_ns: int = 10_000):
-        """Run ``fn`` up to ``attempts`` times; between tries the engine
-        advances by an exponentially growing backoff (transient faults —
-        verifier flakes, pin I/O errors — get time to clear)."""
+    def _with_retries(self, fn):
+        """Run ``fn`` up to :data:`RECOVERY_ATTEMPTS` times; between
+        tries the engine advances by an exponentially growing backoff
+        (transient faults — verifier flakes, pin I/O errors — get time
+        to clear)."""
         last: Optional[BPFError] = None
-        for attempt in range(1, attempts + 1):
+        for attempt in range(1, RECOVERY_ATTEMPTS + 1):
             try:
                 return fn()
             except BPFError as exc:
                 last = exc
-                if attempt < attempts:
+                if attempt < RECOVERY_ATTEMPTS:
                     self.kernel.run(
-                        until=self.kernel.now + backoff_ns * (2 ** (attempt - 1))
+                        until=self.kernel.now + RECOVERY_BACKOFF_NS * (2 ** (attempt - 1))
                     )
         raise last
 
-    def recover(
-        self,
-        verify_retries: int = 3,
-        sweep_orphans: bool = True,
-    ) -> Dict[str, object]:
+    def recover(self) -> Dict[str, object]:
         """Rebuild daemon state from the journal after a crash.
 
         Two phases:
@@ -637,11 +624,7 @@ class Concordd:
             elif record.state is PolicyState.VERIFIED:
                 try:
                     for spec in record.submission.specs:
-                        self._with_retries(
-                            lambda s=spec: self.concord.verify_policy(s),
-                            f"re-verify {spec.name}",
-                            attempts=verify_retries,
-                        )
+                        self._with_retries(lambda s=spec: self.concord.verify_policy(s))
                     self.audit.append(
                         AuditRecord(
                             self.kernel.now,
@@ -686,7 +669,7 @@ class Concordd:
                     summary["rolled_back"].append(record.name)
                     continue
                 try:
-                    self._recover_active(record, journal_patches.get(record.name, []), verify_retries)
+                    self._recover_active(record, journal_patches.get(record.name, []))
                     summary["reattached"].append(record.name)
                 except BPFError as exc:
                     self._recover_teardown(record, journal_patches.get(record.name, []))
@@ -700,15 +683,14 @@ class Concordd:
                     summary["rolled_back"].append(record.name)
 
         # -- phase 3: sweep crash debris ------------------------------
-        if sweep_orphans:
-            expected = set()
-            for record in self.records.values():
-                if record.live:
-                    expected.update(spec.name for spec in record.submission.specs)
-            for name in sorted(self.concord.policies):
-                if name not in expected:
-                    self.concord.unload_policy(name)
-                    summary["swept"].append(name)
+        expected = set()
+        for record in self.records.values():
+            if record.live:
+                expected.update(spec.name for spec in record.submission.specs)
+        for name in sorted(self.concord.policies):
+            if name not in expected:
+                self.concord.unload_policy(name)
+                summary["swept"].append(name)
         return summary
 
     def _recover_teardown(self, record: PolicyRecord, patch_entries: List) -> None:
@@ -721,9 +703,7 @@ class Concordd:
             if patch_name in patcher.active:
                 patcher.revert(patch_name)
 
-    def _recover_active(
-        self, record: PolicyRecord, patch_entries: List, verify_retries: int
-    ) -> None:
+    def _recover_active(self, record: PolicyRecord, patch_entries: List) -> None:
         """Bring an ACTIVE record's installation back: every hook program
         verified and attached to every target lock, every journaled impl
         switch either re-adopted (the kernel survived) or re-applied."""
@@ -736,17 +716,11 @@ class Concordd:
             loaded = self.concord.policies.get(spec.name)
             if loaded is None:
                 self._with_retries(
-                    lambda s=spec: self.concord.load_policy(s, targets=targets),
-                    f"re-load {spec.name}",
-                    attempts=verify_retries,
+                    lambda s=spec: self.concord.load_policy(s, targets=targets)
                 )
                 fixed.append(f"re-loaded {spec.name}")
             else:
-                self._with_retries(
-                    lambda s=spec: self.concord.verify_policy(s),
-                    f"re-verify {spec.name}",
-                    attempts=verify_retries,
-                )
+                self._with_retries(lambda s=spec: self.concord.verify_policy(s))
                 missing = [t for t in targets if t not in loaded.attached_locks]
                 if missing:
                     self.concord.attach_policy(spec.name, missing)

@@ -54,6 +54,18 @@ __all__ = [
 #: ``Breach.lock_name`` of a canary-set-wide (aggregate) breach.
 AGGREGATE = "*"
 
+#: Per-lock guards skip locks with fewer canary acquisitions than this
+#: (one lucky wait must not decide a tail or a skew).
+MIN_LOCK_ACQUISITIONS = 5
+
+#: Total canary acquisitions below which the fairness and drift guards
+#: defer their verdict (not ready); the tail guard's default.
+MIN_ACQUISITIONS = 20
+
+#: Tail guards clamp quantile baselines up to this before the relative
+#: comparison.
+TAIL_FLOOR_NS = 100.0
+
 _METRIC_PHRASES = {
     "avg_wait_ns": "avg wait regressed",
     "avg_hold_ns": "avg hold regressed",
@@ -122,11 +134,6 @@ class LockDelta(NamedTuple):
     baseline_avg_hold_ns: float
     canary_avg_hold_ns: float
     canary_acquired: int
-
-    def wait_regression(self, floor_ns: float) -> float:
-        """Relative avg-wait regression, guarding tiny baselines."""
-        base = max(self.baseline_avg_wait_ns, floor_ns)
-        return (self.canary_avg_wait_ns - base) / base
 
 
 class GuardVerdict:
@@ -295,7 +302,9 @@ class TailWaitGuard(Guard):
     This is the guard the average-based bound cannot replace: a policy
     that triples one hot lock's p99 while the canary-set average moves a
     few percent passes :class:`SLOGuard` and trips here, with the breach
-    naming the lock.
+    naming the lock.  Locks with fewer than
+    :data:`MIN_LOCK_ACQUISITIONS` canary samples are skipped, and
+    quantile baselines are clamped up to :data:`TAIL_FLOOR_NS`.
 
     Args:
         quantile: which tail to bound (0.99 → metric ``p99_wait_ns``).
@@ -303,25 +312,17 @@ class TailWaitGuard(Guard):
             trips the guard.
         min_acquisitions: total canary acquisitions below this defer the
             verdict (not ready).
-        min_lock_acquisitions: locks with fewer canary samples than this
-            are skipped (one lucky wait must not decide a tail).
-        tail_floor_ns: quantile baselines are clamped up to this before
-            the relative comparison.
     """
 
     def __init__(
         self,
         quantile: float = 0.99,
         max_tail_regression: float = 0.20,
-        min_acquisitions: int = 20,
-        min_lock_acquisitions: int = 5,
-        tail_floor_ns: float = 100.0,
+        min_acquisitions: int = MIN_ACQUISITIONS,
     ) -> None:
         self.quantile = quantile
         self.max_tail_regression = max_tail_regression
         self.min_acquisitions = min_acquisitions
-        self.min_lock_acquisitions = min_lock_acquisitions
-        self.tail_floor_ns = tail_floor_ns
         self.metric = f"p{round(quantile * 100):g}_wait_ns"
 
     def evaluate(self, baseline: ProfileReport, canary: ProfileReport) -> GuardVerdict:
@@ -332,9 +333,9 @@ class TailWaitGuard(Guard):
         breaches: List[Breach] = []
         for profile in canary.profiles:
             before = baseline.by_name(profile.lock_name)
-            if before is None or profile.acquired < self.min_lock_acquisitions:
+            if before is None or profile.acquired < MIN_LOCK_ACQUISITIONS:
                 continue
-            base = max(before.quantile(self.quantile), self.tail_floor_ns)
+            base = max(before.quantile(self.quantile), TAIL_FLOOR_NS)
             after = profile.quantile(self.quantile)
             if (after - base) / base > self.max_tail_regression:
                 breaches.append(
@@ -366,21 +367,8 @@ class WaveDriftGuard(TailWaitGuard):
     same-wave tail regression.
     """
 
-    def __init__(
-        self,
-        quantile: float = 0.99,
-        max_tail_drift: float = 0.30,
-        min_acquisitions: int = 20,
-        min_lock_acquisitions: int = 5,
-        tail_floor_ns: float = 100.0,
-    ) -> None:
-        super().__init__(
-            quantile=quantile,
-            max_tail_regression=max_tail_drift,
-            min_acquisitions=min_acquisitions,
-            min_lock_acquisitions=min_lock_acquisitions,
-            tail_floor_ns=tail_floor_ns,
-        )
+    def __init__(self, quantile: float = 0.99, max_tail_drift: float = 0.30) -> None:
+        super().__init__(quantile=quantile, max_tail_regression=max_tail_drift)
         self.max_tail_drift = max_tail_drift
         self.metric = f"p{round(quantile * 100):g}_wait_drift_ns"
 
@@ -397,15 +385,8 @@ class FairnessGuard(Guard):
     is already relative).
     """
 
-    def __init__(
-        self,
-        max_skew_increase: float = 0.25,
-        min_acquisitions: int = 20,
-        min_lock_acquisitions: int = 5,
-    ) -> None:
+    def __init__(self, max_skew_increase: float = 0.25) -> None:
         self.max_skew_increase = max_skew_increase
-        self.min_acquisitions = min_acquisitions
-        self.min_lock_acquisitions = min_lock_acquisitions
 
     @staticmethod
     def imbalance(profile: LockProfile, sockets: Iterable[int]) -> float:
@@ -425,12 +406,12 @@ class FairnessGuard(Guard):
     def evaluate(self, baseline: ProfileReport, canary: ProfileReport) -> GuardVerdict:
         deltas, missing = _lock_deltas(baseline, canary)
         total_acquired = sum(d.canary_acquired for d in deltas)
-        if not deltas or total_acquired < self.min_acquisitions:
+        if not deltas or total_acquired < MIN_ACQUISITIONS:
             return GuardVerdict(True, [], deltas, ready=False, missing=missing)
         breaches: List[Breach] = []
         for profile in canary.profiles:
             before = baseline.by_name(profile.lock_name)
-            if before is None or profile.acquired < self.min_lock_acquisitions:
+            if before is None or profile.acquired < MIN_LOCK_ACQUISITIONS:
                 continue
             # Judge only sockets that participated in either window: a
             # socket the workload never touches is not "starved".

@@ -20,7 +20,7 @@ no split fleet, no leaked installation, journal and kernel agreeing.
 from __future__ import annotations
 
 from random import Random
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .plan import FaultPlan
 from .registry import (
@@ -147,134 +147,135 @@ CHAOS_NET_SITES = (SITE_NET_LINK_DELIVER, SITE_NET_PARTITION_FLIP)
 CHAOS_ADAPTIVE_SITES = (SITE_ADAPTIVE_DETECT, SITE_ADAPTIVE_PROPOSE)
 
 
+#: Upper bound of the main loop's rule count (it draws 2 to this many).
+MAX_RULES = 4
+
+
+# One rule per optional group; each group's ``CHAOS_*_SITES`` comment
+# says why its rule is survivable.
+def _draw_replication(plan: FaultPlan, rng: Random, site: str) -> None:
+    plan.fail(site, times=1, after=rng.randint(0, 2))
+
+
+def _draw_storage(plan: FaultPlan, rng: Random, site: str) -> None:
+    plan.fail(site, times=1, after=rng.randint(0, 3))
+
+
+def _draw_traffic(plan: FaultPlan, rng: Random, site: str) -> None:
+    plan.stall(
+        site,
+        delay_ns=rng.choice((50_000, 100_000, 200_000)),
+        times=1,
+        after=rng.randint(0, 2),
+    )
+
+
+def _draw_net(plan: FaultPlan, rng: Random, site: str) -> None:
+    if site == SITE_NET_PARTITION_FLIP:
+        plan.stall(
+            site,
+            delay_ns=rng.choice((100_000, 200_000, 400_000)),
+            times=1,
+            after=rng.randint(0, 3),
+        )
+    elif rng.random() < 0.5:
+        plan.fail(site, times=rng.randint(1, 2), after=rng.randint(0, 3))
+    else:
+        plan.stall(
+            site,
+            delay_ns=rng.choice((5_000, 20_000, 50_000)),
+            times=rng.randint(1, 3),
+            after=rng.randint(0, 3),
+        )
+
+
+def _draw_adaptive(plan: FaultPlan, rng: Random, site: str) -> None:
+    if rng.random() < 0.5:
+        plan.fail(site, times=1, after=rng.randint(0, 2))
+    else:
+        plan.stall(
+            site,
+            delay_ns=rng.choice((20_000, 50_000, 100_000)),
+            times=1,
+            after=rng.randint(0, 2),
+        )
+
+
+#: The optional site groups as ``(keyword argument, draw)``, walked in
+#: this order after the main loop.  A group given sites adds at most one
+#: rule, with probability 1/2; a group left empty consumes no random
+#: draws.  New groups append at the end, so every plan drawn without
+#: them stays identical.
+OPTIONAL_GROUPS = (
+    ("replication_sites", _draw_replication),
+    ("storage_sites", _draw_storage),
+    ("traffic_sites", _draw_traffic),
+    ("net_sites", _draw_net),
+    ("adaptive_sites", _draw_adaptive),
+)
+
+
 def sample_plan(
     seed: int,
     *,
-    max_rules: int = 4,
-    allow_crash: bool = True,
-    fail_sites: Sequence[str] = CHAOS_FAIL_SITES,
-    stall_sites: Sequence[str] = CHAOS_STALL_SITES,
-    crash_sites: Sequence[str] = CHAOS_CRASH_SITES,
-    member_sites: Sequence[str] = CHAOS_MEMBER_SITES,
     replication_sites: Sequence[str] = (),
     storage_sites: Sequence[str] = (),
     traffic_sites: Sequence[str] = (),
     net_sites: Sequence[str] = (),
     adaptive_sites: Sequence[str] = (),
-    name: Optional[str] = None,
 ) -> FaultPlan:
-    """Draw a chaos :class:`FaultPlan` from ``seed``.
+    """Draw a chaos :class:`FaultPlan` named ``chaos-<seed>`` from
+    ``seed``: 2 to :data:`MAX_RULES` rules over the fail, stall, crash
+    (at most one) and member-outage sites, then at most one rule per
+    optional group in :data:`OPTIONAL_GROUPS` order.
 
     The sampler's RNG is separate from the plan's own (which drives
     ``probability`` rolls), so the *shape* of the plan is a pure
     function of ``seed`` regardless of how often sites are hit.
     """
     rng = Random(seed)
-    plan = FaultPlan(seed=seed, name=name or f"chaos-{seed}")
+    plan = FaultPlan(seed=seed, name=f"chaos-{seed}")
     crashed = False
-    for _ in range(rng.randint(2, max(2, max_rules))):
+    for _ in range(rng.randint(2, MAX_RULES)):
         roll = rng.random()
-        if roll < 0.2 and allow_crash and not crashed:
+        if roll < 0.2 and not crashed:
             crashed = True
             plan.crash(
-                rng.choice(list(crash_sites)),
+                rng.choice(CHAOS_CRASH_SITES),
                 after=rng.randint(1, 3),
                 times=1,
             )
-        elif roll < 0.35 and member_sites:
+        elif roll < 0.35:
             # A member outage: `times` is drawn large enough to outlast
             # the coordinator's retry envelope some of the time, so the
             # degraded path (quarantine + revert debt) actually runs.
             plan.fail(
-                rng.choice(list(member_sites)),
+                rng.choice(CHAOS_MEMBER_SITES),
                 times=rng.randint(1, 6),
                 after=rng.randint(0, 4),
             )
-        elif roll < 0.6 and stall_sites:
+        elif roll < 0.6:
             plan.stall(
-                rng.choice(list(stall_sites)),
+                rng.choice(CHAOS_STALL_SITES),
                 delay_ns=rng.choice((20_000, 50_000, 100_000)),
                 times=rng.randint(1, 3),
                 after=rng.randint(0, 2),
             )
         else:
             plan.fail(
-                rng.choice(list(fail_sites)),
+                rng.choice(CHAOS_FAIL_SITES),
                 times=rng.randint(1, 2),
                 after=rng.randint(0, 3),
             )
-    # The replication rule is drawn *after* the main loop so plans for
-    # existing seeds stay byte-identical when ``replication_sites`` is
-    # empty (the default).  At most one single-shot rule keeps sampled
-    # plans survivable at replication factor 3: one site dies under the
-    # faulted operation, the group retains quorum.
-    if replication_sites and rng.random() < 0.5:
-        plan.fail(
-            rng.choice(list(replication_sites)),
-            times=1,
-            after=rng.randint(0, 2),
-        )
-    # The storage rule is drawn after the replication rule for the same
-    # reason: ``storage_sites`` defaults empty, so plans for existing
-    # seeds stay byte-identical.  At most one single-shot bit-flip keeps
-    # the rot repairable: one copy goes bad, quorum peers stay clean.
-    if storage_sites and rng.random() < 0.5:
-        plan.fail(
-            rng.choice(list(storage_sites)),
-            times=1,
-            after=rng.randint(0, 3),
-        )
-    # The traffic rule is drawn last, again so plans for existing seeds
-    # stay byte-identical (``traffic_sites`` defaults empty).  A stall
-    # here is a timing shift, not an outage: one phase of the trace
-    # arrives up to 200µs early, which is enough to move a burst from
-    # "after the bake window" to "inside it".
-    if traffic_sites and rng.random() < 0.5:
-        plan.stall(
-            rng.choice(list(traffic_sites)),
-            delay_ns=rng.choice((50_000, 100_000, 200_000)),
-            times=1,
-            after=rng.randint(0, 2),
-        )
-    # The network rule is drawn last of all, once more so plans for
-    # existing seeds stay byte-identical (``net_sites`` defaults empty).
-    # A partition-flip rule is a *stall*: the faulted link goes dark for
-    # the stall's duration of simulated time, then self-heals — sampled
-    # chaos may split the fleet but can never strand it.  A link rule
-    # drops or delays a bounded number of individual messages.
-    if net_sites and rng.random() < 0.5:
-        site = rng.choice(list(net_sites))
-        if site == SITE_NET_PARTITION_FLIP:
-            plan.stall(
-                site,
-                delay_ns=rng.choice((100_000, 200_000, 400_000)),
-                times=1,
-                after=rng.randint(0, 3),
-            )
-        elif rng.random() < 0.5:
-            plan.fail(site, times=rng.randint(1, 2), after=rng.randint(0, 3))
-        else:
-            plan.stall(
-                site,
-                delay_ns=rng.choice((5_000, 20_000, 50_000)),
-                times=rng.randint(1, 3),
-                after=rng.randint(0, 3),
-            )
-    # The adaptation rule is drawn after every existing group, once
-    # more so plans for existing seeds stay byte-identical
-    # (``adaptive_sites`` defaults empty).  At most one single-shot
-    # rule: a fail skips one loop pass (detect) or aborts one proposal
-    # (propose); a stall delays the pass.  Either way the loop's
-    # no-unjudged-cull invariant must hold.
-    if adaptive_sites and rng.random() < 0.5:
-        site = rng.choice(list(adaptive_sites))
-        if rng.random() < 0.5:
-            plan.fail(site, times=1, after=rng.randint(0, 2))
-        else:
-            plan.stall(
-                site,
-                delay_ns=rng.choice((20_000, 50_000, 100_000)),
-                times=1,
-                after=rng.randint(0, 2),
-            )
+    given = {
+        "replication_sites": replication_sites,
+        "storage_sites": storage_sites,
+        "traffic_sites": traffic_sites,
+        "net_sites": net_sites,
+        "adaptive_sites": adaptive_sites,
+    }
+    for group, draw in OPTIONAL_GROUPS:
+        sites = given[group]
+        if sites and rng.random() < 0.5:
+            draw(plan, rng, rng.choice(list(sites)))
     return plan

@@ -66,6 +66,13 @@ __all__ = ["FleetCoordinator", "FleetRollout", "FleetRolloutState", "FleetVerdic
 #: per-kernel state and must never be shared across members).
 SubmissionFactory = Callable[[FleetMember], PolicySubmission]
 
+#: Attempts for the plan-anchor journal write, the one append that is
+#: not best-effort.
+PLAN_APPEND_RETRIES = 3
+
+#: Attempts per revert-debt entry in :meth:`FleetCoordinator.drain_debt`.
+DEBT_DRAIN_RETRIES = 3
+
 
 class FleetRolloutState(enum.Enum):
     PLANNED = "planned"
@@ -205,9 +212,6 @@ class FleetCoordinator:
             ``unreachable``.
         rpc_jitter_seed: seeds the envelope's backoff jitter (pass the
             plan seed so chaos runs stay replayable).
-        plan_append_retries: attempts for the plan-anchor journal write,
-            the one append that is not best-effort.
-        debt_drain_retries: attempts per entry in :meth:`drain_debt`.
         pooled_guard: optional guard evaluated per wave over the
             members' profiler evidence *summed* with
             :func:`~repro.controlplane.guards.pool_reports`.  A per-lock
@@ -244,8 +248,6 @@ PlacementRefresher`; consulted after each completed wave.  When it
         client_id: str = "fleet-coordinator",
         health=None,
         member_retries: int = 1,
-        plan_append_retries: int = 3,
-        debt_drain_retries: int = 3,
         pooled_guard: Optional[Guard] = None,
         wave_drift_guard: Optional[Guard] = None,
         ledger=None,
@@ -261,8 +263,6 @@ PlacementRefresher`; consulted after each completed wave.  When it
         self.client_id = client_id
         self.health = health
         self.member_retries = member_retries
-        self.plan_append_retries = plan_append_retries
-        self.debt_drain_retries = debt_drain_retries
         self.fabric = fabric or Fabric()
         self.envelope = RpcEnvelope(
             retries=member_retries,
@@ -609,13 +609,13 @@ PlacementRefresher`; consulted after each completed wave.  When it
         attempt still fails the :class:`JournalError` propagates and the
         rollout is refused (nothing is patched yet)."""
         last: Optional[JournalError] = None
-        for attempt in range(1, self.plan_append_retries + 1):
+        for attempt in range(1, PLAN_APPEND_RETRIES + 1):
             try:
                 self.journal.append(entry)
                 return
             except JournalError as exc:
                 last = exc
-                if attempt < self.plan_append_retries:
+                if attempt < PLAN_APPEND_RETRIES:
                     pause = self.envelope.backoff(attempt)
                     for member in self.fleet.active_members():
                         member.kernel.run(until=member.kernel.now + pause)
@@ -951,10 +951,10 @@ PlacementRefresher`; consulted after each completed wave.  When it
         """Retry every outstanding revert whose member is back in
         service; returns the entries drained.
 
-        Each entry gets ``debt_drain_retries`` attempts with exponential
-        backoff (simulated time on the member's kernel).  Entries whose
-        member is still quarantined or gone stay booked — the journal
-        keeps them across coordinator restarts.
+        Each entry gets :data:`DEBT_DRAIN_RETRIES` attempts with
+        exponential backoff (simulated time on the member's kernel).
+        Entries whose member is still quarantined or gone stay booked —
+        the journal keeps them across coordinator restarts.
         """
         drained: List[Dict[str, object]] = []
         for entry in list(self.debt):
@@ -964,7 +964,7 @@ PlacementRefresher`; consulted after each completed wave.  When it
                 continue
             member = self.fleet.member(kernel)
             failure: Optional[Exception] = None
-            for attempt in range(1, self.debt_drain_retries + 1):
+            for attempt in range(1, DEBT_DRAIN_RETRIES + 1):
                 try:
                     fault_point(
                         SITE_FLEET_DEBT_DRAIN,
@@ -977,7 +977,7 @@ PlacementRefresher`; consulted after each completed wave.  When it
                     break
                 except (ControlPlaneError, BPFError) as exc:
                     failure = exc
-                    if attempt < self.debt_drain_retries:
+                    if attempt < DEBT_DRAIN_RETRIES:
                         member.kernel.run(
                             until=member.kernel.now + self.envelope.backoff(attempt)
                         )
@@ -1018,7 +1018,6 @@ PlacementRefresher`; consulted after each completed wave.  When it
     def recover(
         self,
         submission_factory: SubmissionFactory,
-        restart_members: bool = True,
         **rollout_kwargs,
     ) -> Optional[FleetRollout]:
         """Pick up after a coordinator crash: resume or unwind.
@@ -1054,14 +1053,13 @@ PlacementRefresher`; consulted after each completed wave.  When it
         """
         if self.journal is None:
             raise FleetError("fleet recovery needs a fleet journal")
-        if restart_members:
-            for member in self.fleet.active_members():
-                try:
-                    member.restart()
-                    if member.journal is not None and len(member.journal):
-                        member.daemon.recover()
-                except JournalCorruption as exc:
-                    self._quarantine_corrupt_shard(member, exc)
+        for member in self.fleet.active_members():
+            try:
+                member.restart()
+                if member.journal is not None and len(member.journal):
+                    member.daemon.recover()
+            except JournalCorruption as exc:
+                self._quarantine_corrupt_shard(member, exc)
         try:
             entries = [e for e in self.journal.entries() if e.get("kind") == "fleet"]
         except JournalCorruption:

@@ -57,6 +57,16 @@ __all__ = [
     "ProbeRecord",
 ]
 
+#: How far the clock-advance check runs a member's kernel (the probe's
+#: simulated time budget).
+PROBE_WINDOW_NS = 1_000
+
+#: Probes retained per member or site (a ring, newest last).
+HISTORY_LIMIT = 64
+
+#: The monitor's own name on the fabric.
+ENDPOINT = "health-monitor"
+
 
 class MemberUnreachable(FleetError):
     """A fleet member did not respond to a coordinator operation."""
@@ -92,49 +102,39 @@ class ProbeRecord(NamedTuple):
 class HealthMonitor:
     """Per-member liveness probing with escalation thresholds.
 
+    A *replica site* probed via :meth:`probe_sites` that escalates to
+    DEAD is failed in its group (which fails over if it was the leader)
+    — the replication twin of quarantining a dead member.
+
     Args:
         fleet: the membership directory to watch.
-        probe_window_ns: how far the clock-advance check runs the
-            member's kernel (the probe's simulated time budget).
         suspect_after: consecutive failures before HEALTHY → SUSPECT.
         dead_after: consecutive failures before → DEAD.
-        history_limit: probes retained per member (a heartbeat history
-            ring, newest last).
         on_dead: ``callback(name, cause)`` fired once per HEALTHY/
             SUSPECT → DEAD transition — typically
             :meth:`FleetCoordinator.quarantine`.
-        on_site_dead: ``callback(site_name, cause)`` fired when a
-            *replica site* probed via :meth:`probe_sites` escalates to
-            DEAD.  Defaults to failing the site in its group (which
-            fails over if it was the leader) — the replication twin of
-            quarantining a dead member.
         scrubber: optional :class:`~repro.storage.scrub.Scrubber`; when
             set, :meth:`probe_all` scrubs each member's store every
             ``scrub_every`` rounds and unhealed findings count as
             failed probes.
         scrub_every: scrub cadence, in :meth:`probe_all` rounds.
         fabric: the :class:`~repro.netsim.Fabric` probes traverse
-            (``endpoint`` → member / site name); a private one by
+            (:data:`ENDPOINT` → member / site name); a private one by
             default.  A partitioned link is a failed probe — which is
             the point: a monitor on the wrong side of a partition walks
             the member to DEAD exactly as an external watchdog would,
             however alive the member is.
-        endpoint: the monitor's own name on the fabric.
     """
 
     def __init__(
         self,
         fleet: FleetManager,
-        probe_window_ns: int = 1_000,
         suspect_after: int = 1,
         dead_after: int = 3,
-        history_limit: int = 64,
         on_dead: Optional[Callable[[str, str], object]] = None,
-        on_site_dead: Optional[Callable[[str, str], object]] = None,
         scrubber=None,
         scrub_every: int = 1,
         fabric: Optional[Fabric] = None,
-        endpoint: str = "health-monitor",
     ) -> None:
         if not 1 <= suspect_after <= dead_after:
             raise FleetError(
@@ -142,18 +142,14 @@ class HealthMonitor:
                 f"got {suspect_after}/{dead_after}"
             )
         self.fleet = fleet
-        self.probe_window_ns = probe_window_ns
         self.suspect_after = suspect_after
         self.dead_after = dead_after
-        self.history_limit = history_limit
         self.on_dead = on_dead
-        self.on_site_dead = on_site_dead
         if scrub_every < 1:
             raise FleetError(f"scrub_every must be >= 1, got {scrub_every}")
         self.scrubber = scrubber
         self.scrub_every = scrub_every
         self.fabric = fabric or Fabric()
-        self.endpoint = endpoint
         self._rounds = 0
         self._history: Dict[str, Deque[ProbeRecord]] = {}
         self._failures: Dict[str, int] = {}
@@ -176,7 +172,7 @@ class HealthMonitor:
     ) -> ProbeRecord:
         """Shared escalation: record one probe of ``key`` (a member or a
         replica site) and walk its HEALTHY → SUSPECT → DEAD machine."""
-        self._history.setdefault(key, deque(maxlen=self.history_limit)).append(record)
+        self._history.setdefault(key, deque(maxlen=HISTORY_LIMIT)).append(record)
         if record.ok:
             self._failures[key] = 0
             self._states[key] = HealthState.HEALTHY
@@ -196,32 +192,22 @@ class HealthMonitor:
             on_dead(key, record.detail)
         return record
 
-    def probe_all(
-        self,
-        include_sites: bool = False,
-        include_scrub: Optional[bool] = None,
-    ) -> Dict[str, ProbeRecord]:
+    def probe_all(self, include_sites: bool = False) -> Dict[str, ProbeRecord]:
         """Probe every in-service member (quarantined members are
         already out of rotation; probing them proves nothing).  With
         ``include_sites`` the replica sites of every replicated member
         are probed too (keyed by site name, e.g. ``k0/site1``).
 
         With a scrubber wired in, every ``scrub_every``-th round also
-        runs an integrity scrub per member (``include_scrub`` forces it
-        on or off for this round); a scrub the scrubber could not heal
-        is a failed probe.
+        runs an integrity scrub per member; a scrub the scrubber could
+        not heal is a failed probe.
         """
         records = {name: self.probe(name) for name in self.fleet.active_names()}
         if include_sites:
             for name in self.fleet.active_names():
                 records.update(self.probe_sites(name))
         self._rounds += 1
-        scrub = (
-            self.scrubber is not None and self._rounds % self.scrub_every == 0
-            if include_scrub is None
-            else include_scrub and self.scrubber is not None
-        )
-        if scrub:
+        if self.scrubber is not None and self._rounds % self.scrub_every == 0:
             for name, record in self.scrub_all().items():
                 records[f"{name}:scrub"] = record
         return records
@@ -272,29 +258,21 @@ class HealthMonitor:
 
         Site probes ride the same escalation machinery as member probes
         (same thresholds, same history rings, keyed by site name); a
-        site that escalates to DEAD is failed in its group by default —
-        which elects a new leader if the casualty held the lease — or
-        handed to ``on_site_dead`` when configured.  Members without a
+        site that escalates to DEAD is failed in its group, which elects
+        a new leader if the casualty held the lease.  Members without a
         replica group probe as an empty dict.
         """
         member: FleetMember = self.fleet.member(name)
         group = getattr(member, "replica_group", None)
         if group is None:
             return {}
-
-        def site_dead(key: str, cause: str) -> None:
-            if self.on_site_dead is not None:
-                self.on_site_dead(key, cause)
-            else:
-                group.fail_site(key, cause=cause)
-
         records: Dict[str, ProbeRecord] = {}
         for site in list(group.sites):
             ok, detail = self._probe_site_once(site)
             record = ProbeRecord(
                 time_ns=member.kernel.now, ok=ok, epoch=member.epoch, detail=detail
             )
-            records[site.name] = self._note(site.name, record, site_dead)
+            records[site.name] = self._note(site.name, record, group.fail_site)
         return records
 
     def _probe_site_once(self, site) -> "tuple[bool, str]":
@@ -303,7 +281,7 @@ class HealthMonitor:
                 return False, "site down (partitioned, log intact)"
             return False, "site down"
         try:
-            self.fabric.deliver(self.endpoint, site.name, op="site-probe")
+            self.fabric.deliver(ENDPOINT, site.name, op="site-probe")
         except NetError as exc:
             return False, f"site partitioned: {exc}"
         try:
@@ -339,7 +317,7 @@ class HealthMonitor:
             return False, f"probe: clock frozen for {stall}ns", when, epoch
         try:
             latency = self.fabric.deliver(
-                self.endpoint, name, op="probe", now_ns=member.kernel.now
+                ENDPOINT, name, op="probe", now_ns=member.kernel.now
             )
         except NetError as exc:
             return False, f"probe: partitioned: {exc}", when, epoch
@@ -350,7 +328,7 @@ class HealthMonitor:
         except ControlPlaneError as exc:
             return False, f"daemon: {exc}", when, epoch
         before = member.kernel.now
-        member.kernel.run(until=before + self.probe_window_ns)
+        member.kernel.run(until=before + PROBE_WINDOW_NS)
         if member.kernel.now <= before:
             return False, "kernel clock did not advance", member.kernel.now, epoch
         if member.journal is not None:

@@ -15,7 +15,7 @@ recovered exactly like a standalone single-kernel daemon.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional
+from typing import Dict, Iterator, List
 
 from ..concord.framework import Concord
 from ..controlplane.daemon import Concordd
@@ -34,9 +34,8 @@ class FleetMember:
 
     Args:
         name: fleet-unique member name (``k0``, ``cell-eu-1``, ...).
-        kernel: the member's simulated kernel.
-        concord: optional existing framework instance (defaults to a
-            fresh one over ``kernel``).
+        kernel: the member's simulated kernel (the member builds its own
+            :class:`~repro.concord.Concord` over it).
         replica_group: optional replica group (duck-typed: anything with
             ``journal()`` and ``fence(epoch)``) backing this member's
             policy store.  When set and no explicit ``journal`` kwarg is
@@ -53,13 +52,12 @@ class FleetMember:
         self,
         name: str,
         kernel: Kernel,
-        concord: Optional[Concord] = None,
         replica_group=None,
         **daemon_kwargs,
     ) -> None:
         self.name = name
         self.kernel = kernel
-        self.concord = concord or Concord(kernel)
+        self.concord = Concord(kernel)
         self.replica_group = replica_group
         if replica_group is not None and "journal" not in daemon_kwargs:
             daemon_kwargs["journal"] = replica_group.journal()
@@ -138,7 +136,6 @@ class FleetManager:
         self,
         name: str,
         kernel: Kernel,
-        concord: Optional[Concord] = None,
         replica_group=None,
         **daemon_kwargs,
     ) -> FleetMember:
@@ -150,17 +147,8 @@ class FleetManager:
         """
         if name in self._members:
             raise FleetError(f"fleet member {name!r} is already registered")
-        member = FleetMember(
-            name, kernel, concord, replica_group=replica_group, **daemon_kwargs
-        )
+        member = FleetMember(name, kernel, replica_group=replica_group, **daemon_kwargs)
         self._members[name] = member
-        return member
-
-    def adopt(self, member: FleetMember) -> FleetMember:
-        """Register an externally built :class:`FleetMember`."""
-        if member.name in self._members:
-            raise FleetError(f"fleet member {member.name!r} is already registered")
-        self._members[member.name] = member
         return member
 
     def deregister(self, name: str, force: bool = False) -> FleetMember:
@@ -254,12 +242,6 @@ restart`): whatever happened while it was out — reboots, manual
             if names:
                 matches[member.name] = names
         return matches
-
-    def restart_all(self) -> None:
-        """Restart every member daemon (the whole control plane process
-        died; the kernels live on)."""
-        for member in self.members():
-            member.restart()
 
     def __contains__(self, name: str) -> bool:
         return name in self._members

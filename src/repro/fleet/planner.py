@@ -89,12 +89,6 @@ class FleetPlan:
     def kernels(self) -> List[str]:
         return [name for wave in self.waves for name in wave.kernels]
 
-    def wave_of(self, kernel: str) -> Optional[int]:
-        for wave in self.waves:
-            if kernel in wave.kernels:
-                return wave.index
-        return None
-
     # ------------------------------------------------------------------
     def serialize(self) -> Dict[str, object]:
         return {

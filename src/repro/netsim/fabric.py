@@ -99,20 +99,16 @@ class Fabric:
             fabric whose models have no stochastic knobs never touches
             the RNG, so attaching one to an existing scenario perturbs
             nothing.
-        default_model: the model lazily-created links start with.
         schedule: optional :class:`~repro.netsim.schedule.\
 PartitionSchedule` applied as observed simulated time passes
             (:meth:`advance`).
     """
 
-    def __init__(
-        self,
-        seed: int = 0,
-        default_model: LinkModel = LinkModel(),
-        schedule=None,
-    ) -> None:
+    def __init__(self, seed: int = 0, schedule=None) -> None:
         self._rng = Random(seed)
-        self.default_model = default_model
+        #: The model lazily-created links start with (:meth:`set_model`
+        #: with neither end named replaces it).
+        self.default_model = LinkModel()
         self.endpoints: List[str] = []
         self._links: Dict[Tuple[str, str], Link] = {}
         self.schedule = schedule

@@ -22,6 +22,9 @@ from .errors import NetError
 
 __all__ = ["PartitionEvent", "PartitionSchedule", "sample_partition_schedule"]
 
+#: Most minority splits a sampled schedule draws (it draws 1 to this many).
+MAX_SPLITS = 2
+
 
 class PartitionEvent(NamedTuple):
     """One link-state flip at a point in simulated time."""
@@ -107,9 +110,8 @@ def sample_partition_schedule(
     seed: int,
     endpoints: Sequence[str],
     total_ns: int,
-    max_splits: int = 2,
 ) -> PartitionSchedule:
-    """Draw a survivable schedule: up to ``max_splits`` minority splits
+    """Draw a survivable schedule: up to :data:`MAX_SPLITS` minority splits
     over ``total_ns``, each healed before the next, always ending
     healed.
 
@@ -124,7 +126,7 @@ def sample_partition_schedule(
     names = sorted(endpoints)
     events: List[PartitionEvent] = []
     t = 0
-    for _ in range(rng.randint(1, max(1, max_splits))):
+    for _ in range(rng.randint(1, MAX_SPLITS)):
         t += rng.randint(max(1, total_ns // 8), max(2, total_ns // 3))
         minority_size = rng.randint(1, max(1, (len(names) - 1) // 2))
         minority = rng.sample(names, minority_size)

@@ -18,35 +18,24 @@ Replay must tolerate the same double-report either way.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List
 
 from ..controlplane.journal import JournalError, PolicyJournal
 from ..faults import SITE_JOURNAL_APPEND, SITE_JOURNAL_FSYNC, fault_point
-from .group import LeaderLease, ReplicaGroup
+from .group import ReplicaGroup
 
 __all__ = ["ReplicatedJournal"]
 
 
 class ReplicatedJournal(PolicyJournal):
-    """A :class:`PolicyJournal` whose backing store is a replica group.
+    """A :class:`PolicyJournal` whose backing store is a replica group
+    (``group``).  Writes follow the current leader across failovers; a
+    writer that must prove leadership continuity presents a captured
+    lease to :meth:`ReplicaGroup.append` itself."""
 
-    Args:
-        group: the replica group holding the entries.
-        lease: optional :class:`~repro.replication.group.LeaderLease` to
-            present with every write.  A writer that must prove
-            leadership continuity (the acceptance scenario's stale-leader
-            check) captures a lease and is fenced the moment the group
-            moves past it; the common case (daemon journaling through
-            its own member's group) passes ``None`` and follows the
-            current leader across failovers.
-    """
-
-    def __init__(
-        self, group: ReplicaGroup, lease: Optional[LeaderLease] = None
-    ) -> None:
+    def __init__(self, group: ReplicaGroup) -> None:
         super().__init__(path=None)
         self.group = group
-        self.lease = lease
 
     # ------------------------------------------------------------------
     def append(self, entry: Dict[str, Any]) -> None:
@@ -58,7 +47,7 @@ class ReplicatedJournal(PolicyJournal):
             kind=entry.get("kind"),
             policy=entry.get("policy") or entry.get("rollout"),
         )
-        self.group.append(entry, lease=self.lease)
+        self.group.append(entry)
         fault_point(
             SITE_JOURNAL_FSYNC,
             default_exc=JournalError,
@@ -69,11 +58,8 @@ class ReplicatedJournal(PolicyJournal):
         return self.group.entries()
 
     def compact(self) -> Dict[str, int]:
-        """Fold the committed prefix into a snapshot on every live site.
-        Fenced by this journal's lease, like its writes: a holder the
-        group has moved past must not rewrite history it can no longer
-        see."""
-        return self.group.compact(lease=self.lease)
+        """Fold the committed prefix into a snapshot on every live site."""
+        return self.group.compact()
 
     def close(self) -> None:  # nothing to close; sites are the store
         return None

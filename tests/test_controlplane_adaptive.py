@@ -94,20 +94,20 @@ class TestCollapseDetector:
         assert ref.rate_per_ms == pytest.approx(2_000.0)
 
     def test_suggest_cap_is_littles_law_with_floor(self):
-        detector = CollapseDetector(min_cap=2, max_cap=8)
+        detector = CollapseDetector()
         detector.observe(_report([_profile(acquired=200, avg_hold=500.0)]))
         ref = detector.reference("svc.lock")
         # L = rate * hold = 2000/1e6 * 500 = 1 holder -> min_cap floor.
         assert detector.suggest_cap(ref) == 2
         # A lock legitimately holding ~3 concurrent holders caps there.
-        detector2 = CollapseDetector(min_cap=2, max_cap=8)
+        detector2 = CollapseDetector()
         detector2.observe(
             _report([_profile(acquired=600, avg_hold=500.0)])
         )
         assert detector2.suggest_cap(detector2.reference("svc.lock")) == 3
 
     def test_cold_windows_are_ignored(self):
-        detector = CollapseDetector(min_acquired=20)
+        detector = CollapseDetector()
         assert detector.observe(_report([_profile(acquired=5)])) == []
         assert detector.reference("svc.lock") is None
 

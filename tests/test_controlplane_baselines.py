@@ -105,7 +105,7 @@ class TestLearnedBaseline:
             assert state.mean == pytest.approx(metric_value(profile, metric))
 
     def test_cold_windows_are_skipped(self):
-        lb = LearnedBaseline(min_acquired=20)
+        lb = LearnedBaseline()
         assert lb.observe(_report([_profile(acquired=5)])) == 0
         assert lb.lock_names() == []
 

@@ -197,10 +197,10 @@ class TestTailWaitGuard:
         )
         canary = report(
             prof("svc.a.lock", acquired=100, hist=[0] * 10 + [100]),
-            # 3 samples, wildly regressed — below min_lock_acquisitions.
+            # 3 samples, wildly regressed — below MIN_LOCK_ACQUISITIONS (5).
             prof("svc.b.lock", acquired=3, hist=[0] * 15 + [3]),
         )
-        verdict = TailWaitGuard(min_lock_acquisitions=5).evaluate(baseline, canary)
+        verdict = TailWaitGuard().evaluate(baseline, canary)
         assert verdict.ok
 
     def test_metric_names_track_the_quantile(self):

@@ -174,6 +174,7 @@ def test_journal_failures_do_not_block_execution():
 def test_unjournalable_plan_refuses_to_start():
     from repro.controlplane import JournalError
     from repro.faults import FaultPlan, injected
+    from repro.fleet.coordinator import PLAN_APPEND_RETRIES
 
     fleet = three_kernel_fleet()
     plan = RolloutPlanner(**PLANNER).plan("numa-good", learn(fleet))
@@ -187,7 +188,7 @@ def test_unjournalable_plan_refuses_to_start():
     with injected(fault):
         with pytest.raises(JournalError):
             coord.execute(plan, good_factory, **ROLLOUT_KWARGS)
-    assert fault.fired["controlplane.journal.append"] == coord.plan_append_retries
+    assert fault.fired["controlplane.journal.append"] == PLAN_APPEND_RETRIES
     assert fleet_stock(fleet, "numa-good")
 
 

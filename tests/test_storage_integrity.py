@@ -459,6 +459,50 @@ class TestCompactionEquivalence:
         assert outcomes["raw"] == outcomes["compact"]
         assert outcomes["compact"][1] is PolicyState.ACTIVE
 
+    @pytest.mark.xfail(
+        strict=True,
+        reason="fold_entries keys submission entries by 'name', but the daemon "
+        "journals them under 'policy': compaction keeps only the last "
+        "submission of the prefix, so recovery loses every other ACTIVE policy",
+    )
+    def test_recovery_of_two_active_policies_survives_compaction(self, tmp_path):
+        from tests.test_controlplane_recovery import (
+            make_daemon,
+            make_kernel,
+            meter_submission,
+        )
+        from repro.concord import Concord
+        from repro.userspace import PolicyClient
+
+        names = ("alpha", "beta")
+        path = str(tmp_path / "journal.jsonl")
+        daemon = make_daemon(Concord(make_kernel()), PolicyJournal(path))
+        client = PolicyClient.connect(daemon, "ops")
+        for name in names:
+            client.submit(meter_submission(name=name))
+            record = client.rollout(name, baseline_ns=40_000, canary_ns=40_000)
+            assert record.state is PolicyState.ACTIVE
+        daemon.detach()
+
+        raw_path = str(tmp_path / "raw.jsonl")
+        compact_path = str(tmp_path / "compact.jsonl")
+        shutil.copy(path, raw_path)
+        shutil.copy(path, compact_path)
+        PolicyJournal(compact_path).compact()
+
+        outcomes = {}
+        for label, journal_path in (("raw", raw_path), ("compact", compact_path)):
+            kernel = make_kernel()  # identical fresh boot for both replays
+            fresh = make_daemon(Concord(kernel), PolicyJournal(journal_path))
+            summary = fresh.recover()
+            outcomes[label] = (
+                summary,
+                {name: getattr(fresh.records.get(name), "state", None) for name in names},
+                sorted(fresh.concord.policies),
+            )
+        assert outcomes["raw"][1] == {name: PolicyState.ACTIVE for name in names}
+        assert outcomes["raw"] == outcomes["compact"]
+
 
 # ======================================================================
 # Health-monitor scrub integration

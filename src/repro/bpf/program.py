@@ -15,7 +15,7 @@ from __future__ import annotations
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .errors import BPFError
-from .insn import Insn, disassemble
+from .insn import Insn
 from .maps import BPFMap
 
 __all__ = ["ContextLayout", "Program"]
@@ -88,9 +88,6 @@ class Program:
 
     def __len__(self) -> int:
         return len(self.insns)
-
-    def dis(self) -> str:
-        return disassemble(self.insns)
 
     def __repr__(self) -> str:
         flag = "verified" if self.verified else "unverified"

@@ -202,7 +202,7 @@ def make_hook_fn(
 
     The returned callable packs the hook environment into the program's
     context layout, runs the VM, and returns ``(r0, cost_ns)`` — the
-    cost is charged as simulated time by the lock's ``_fire``.
+    cost is charged as simulated time by the lock that fires the hook.
     """
     layout = LAYOUT_FOR_HOOK[hook]
     if program.ctx_layout is not layout:

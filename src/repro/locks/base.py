@@ -29,7 +29,6 @@ from typing import Any, Callable, Dict, Iterator, Optional, Set, Tuple
 
 from ..sim.engine import Engine
 from ..sim.errors import SimError
-from ..sim.ops import Delay
 from ..sim.task import Task
 
 __all__ = [
@@ -174,32 +173,19 @@ class Lock:
         return self._owner is not None
 
     # -- hook dispatch ---------------------------------------------------
-    def _fire(self, task: Task, hook: str, env: Dict[str, Any], default: Any = None):
-        """Invoke a hook point if a program is attached.
+    def _fire(self, task: Task, hook: str, env: Dict[str, Any]) -> Tuple[Any, int]:
+        """Run the program attached at ``hook``; callers check it is there.
 
-        Generator: charges the trampoline + program cost as simulated
-        time on the calling task, then yields the program's value (or
-        ``default`` when nothing is attached).
+        Returns ``(value, cost_ns)``: the program's value and the
+        simulated cost of the trampoline plus the program, which the
+        caller charges to ``task`` as a :class:`Delay` — after the
+        program has run.
         """
         hooks = self.hooks
-        if hooks is None:
-            return default
-        fn = hooks.programs.get(hook)
-        if fn is None:
-            if hooks.dispatch_ns:
-                # A patched call site costs its trampoline even when the
-                # specific hook has no program (patched-function preamble).
-                yield Delay(hooks.dispatch_ns)
-            return default
-        env.setdefault("task", task)
-        env.setdefault("lock", self)
-        value, cost_ns = fn(env)
-        yield Delay(hooks.dispatch_ns + cost_ns)
-        return value
-
-    def _hot(self, hook: str) -> bool:
-        """True when firing this hook would do any work at all."""
-        return self.hooks is not None
+        env["task"] = task
+        env["lock"] = self
+        value, cost_ns = hooks.programs[hook](env)
+        return value, hooks.dispatch_ns + cost_ns
 
     def __repr__(self) -> str:
         state = f"held_by={self._owner.name}" if self._owner else "free"

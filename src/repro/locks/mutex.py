@@ -71,9 +71,8 @@ class SpinParkMutex(Lock):
     def _spin_budget_for(self, task: Task) -> Iterator:
         """Per-acquisition spin budget; overridable via schedule_waiter."""
         if self.hooks is not None and HOOK_SCHEDULE_WAITER in self.hooks:
-            value = yield from self._fire(
-                task, HOOK_SCHEDULE_WAITER, {"curr_node": None}, default=None
-            )
+            value, cost_ns = self._fire(task, HOOK_SCHEDULE_WAITER, {"curr_node": None})
+            yield Delay(cost_ns)
             if value is not None and value >= 0:
                 return int(value)
         return self.spin_budget_ns

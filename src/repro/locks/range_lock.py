@@ -30,7 +30,7 @@ Workloads hold them directly.
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional, Tuple
+from typing import Iterator, List, Optional
 
 from ..sim.engine import Engine
 from ..sim.ops import Delay, Park, Unpark
@@ -172,15 +172,6 @@ class RangeLock:
                 blocked.append(waiter)
         for waiter in woken:
             yield Unpark(waiter.task)
-
-    # -- introspection -------------------------------------------------
-    @property
-    def held_ranges(self) -> List[Tuple[int, int, bool]]:
-        return [(e.start, e.end, e.write) for e in self._held]
-
-    @property
-    def queue_depth(self) -> int:
-        return len(self._queue)
 
     def __repr__(self) -> str:
         return (

@@ -35,9 +35,6 @@ class LockRegistry:
         self._locks[name] = lock
         return lock
 
-    def unregister(self, name: str) -> None:
-        self._locks.pop(name, None)
-
     def get(self, name: str) -> Lock:
         try:
             return self._locks[name]

@@ -46,6 +46,11 @@ __all__ = ["ShflNode", "ShufflePolicy", "NumaPolicy", "ShflLock"]
 _FREE = 0
 _LOCKED = 1
 
+
+def _is_free(value) -> bool:
+    return value == _FREE
+
+
 # node.status values.  A waiter sleeps on its own status line; the
 # promoter writes S_HEAD, and the shuffler role travels down the queue
 # through S_SHUFFLER (one active shuffler at a time).
@@ -160,6 +165,13 @@ class ShflLock(Lock):
         self.debug_checks = debug_checks
         self.glock = engine.cell(_FREE, name=f"{self.name}.glock")
         self.tail = engine.cell(None, name=f"{self.name}.tail")
+        # Requests are immutable: the ones on the lock's own words are
+        # built once, not on every yield.
+        self._load_tail = Load(self.tail)
+        self._load_glock = Load(self.glock)
+        self._cas_glock = CAS(self.glock, _FREE, _LOCKED)
+        self._wait_glock_free = WaitValue(self.glock, _is_free)
+        self._store_glock_free = Store(self.glock, _FREE)
         self._nodes: Dict[int, ShflNode] = {}
         self.shuffle_moves = 0
         self.shuffle_passes = 0
@@ -174,13 +186,11 @@ class ShflLock(Lock):
     # ------------------------------------------------------------------
     def _decide_cmp(self, task: Task, shuffler: ShflNode, curr: ShflNode) -> Iterator:
         hooks = self.hooks
-        if hooks is not None and HOOK_CMP_NODE in hooks:
-            value = yield from self._fire(
-                task,
-                HOOK_CMP_NODE,
-                {"shuffler_node": shuffler, "curr_node": curr},
-                default=False,
+        if hooks is not None and HOOK_CMP_NODE in hooks.programs:
+            value, cost_ns = self._fire(
+                task, HOOK_CMP_NODE, {"shuffler_node": shuffler, "curr_node": curr}
             )
+            yield Delay(cost_ns)
             return bool(value)
         if self.policy is not None:
             yield Delay(self.policy.cost_ns)
@@ -189,23 +199,21 @@ class ShflLock(Lock):
 
     def _decide_skip(self, task: Task, shuffler: ShflNode) -> Iterator:
         hooks = self.hooks
-        if hooks is not None and HOOK_SKIP_SHUFFLE in hooks:
-            value = yield from self._fire(
-                task, HOOK_SKIP_SHUFFLE, {"shuffler_node": shuffler}, default=False
-            )
+        if hooks is not None and HOOK_SKIP_SHUFFLE in hooks.programs:
+            value, cost_ns = self._fire(task, HOOK_SKIP_SHUFFLE, {"shuffler_node": shuffler})
+            yield Delay(cost_ns)
             return bool(value)
         if self.policy is not None:
             yield Delay(self.policy.cost_ns)
             return self.policy.skip_shuffle(self, shuffler)
         # No policy at all: nothing to shuffle by, skip entirely.
-        return self.policy is None and (self.hooks is None or HOOK_CMP_NODE not in self.hooks)
+        return hooks is None or HOOK_CMP_NODE not in hooks.programs
 
     def _decide_park(self, task: Task, curr: ShflNode) -> Iterator:
         hooks = self.hooks
-        if hooks is not None and HOOK_SCHEDULE_WAITER in hooks:
-            value = yield from self._fire(
-                task, HOOK_SCHEDULE_WAITER, {"curr_node": curr}, default=True
-            )
+        if hooks is not None and HOOK_SCHEDULE_WAITER in hooks.programs:
+            value, cost_ns = self._fire(task, HOOK_SCHEDULE_WAITER, {"curr_node": curr})
+            yield Delay(cost_ns)
             return bool(value)
         if self.policy is not None:
             yield Delay(self.policy.cost_ns)
@@ -220,11 +228,11 @@ class ShflLock(Lock):
         # with waiters present, arrivals must not steal the word — the
         # event-driven head spin would otherwise starve behind releasers
         # whose re-acquire probe hits their own L1.
-        queued = yield Load(self.tail)
+        queued = yield self._load_tail
         if queued is None:
-            value = yield Load(self.glock)
+            value = yield self._load_glock
             if value == _FREE:
-                ok, _old = yield CAS(self.glock, _FREE, _LOCKED)
+                ok, _old = yield self._cas_glock
                 if ok:
                     self._nodes[task.tid] = None  # uncontended: no node
                     self._mark_acquired(task, contended=False)
@@ -243,13 +251,13 @@ class ShflLock(Lock):
         # handoff latency stays as tight as a plain queue lock.
         yield from self._grant_shuffler_role(task, node)
         while True:
-            value = yield Load(self.glock)
+            value = yield self._load_glock
             if value == _FREE:
-                ok, _old = yield CAS(self.glock, _FREE, _LOCKED)
+                ok, _old = yield self._cas_glock
                 if ok:
                     break
                 continue
-            yield WaitValue(self.glock, lambda v: v == _FREE)
+            yield self._wait_glock_free
 
         # Promote the successor to head before entering the CS.
         yield from self._promote_successor(node)
@@ -407,10 +415,10 @@ class ShflLock(Lock):
     def release(self, task: Task) -> Iterator:
         self._nodes.pop(task.tid, None)
         self._mark_released(task)
-        yield Store(self.glock, _FREE)
+        yield self._store_glock_free
 
     def try_acquire(self, task: Task) -> Iterator:
-        ok, _old = yield CAS(self.glock, _FREE, _LOCKED)
+        ok, _old = yield self._cas_glock
         if ok:
             self._nodes[task.tid] = None
             self._mark_acquired(task)

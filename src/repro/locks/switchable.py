@@ -21,7 +21,7 @@ the ablation suite.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Iterator, List, Optional
+from typing import Callable, Dict, Iterator, List, Optional
 
 from ..faults import fault_point
 from ..sim.ops import Delay, Load, WaitValue
@@ -42,17 +42,9 @@ __all__ = ["SwitchableLock", "SwitchableRWLock", "DEFAULT_TRAMPOLINE_NS"]
 #: Per-entry cost of the livepatch trampoline + Concord dispatch check.
 DEFAULT_TRAMPOLINE_NS = 40
 
-def _fire_event(impl, task, hook):
-    """Fire a profiling hook at the patched call site, if attached.
 
-    Membership is checked first so a site patched only with decision
-    programs pays nothing extra here — the per-entry trampoline is
-    already charged by the wrapper.
-    """
-    hooks = impl.hooks
-    if hooks is not None and hook in hooks.programs:
-        yield from impl._fire(task, hook, {})
-
+def _gate_open(value) -> bool:
+    return value == 0
 
 
 class _SwitchCore:
@@ -62,6 +54,9 @@ class _SwitchCore:
         self.engine = engine
         self.name = name
         self.gate = engine.cell(0, name=f"{name}.gate")
+        # Requests are immutable: the wrappers yield these two every entry.
+        self.load_gate = Load(self.gate)
+        self.wait_gate_open = WaitValue(self.gate, _gate_open)
         self.impl = impl
         self.pending_impl = None
         self.inflight = 0
@@ -124,25 +119,12 @@ class _SwitchCore:
             return None
         return self.switch_engaged_at - self.switch_requested_at
 
-    def enter(self) -> Iterator:
-        """Gate + trampoline; returns the implementation to use."""
-        value = yield Load(self.gate)
-        if value:
-            yield WaitValue(self.gate, lambda v: v == 0)
-        if self.patched and self.trampoline_ns:
-            yield Delay(self.trampoline_ns)
-        self.inflight += 1
-        return self.impl
-
-    def exit_side_cost(self) -> Iterator:
-        if self.patched and self.trampoline_ns:
-            yield Delay(self.trampoline_ns)
-
     def leave(self) -> None:
         self.inflight -= 1
         if self.inflight < 0:
             raise LockError("switchable lock inflight underflow")
-        self.maybe_complete()
+        if self.pending_impl is not None:
+            self.maybe_complete()
 
 
 class SwitchableLock(Lock):
@@ -174,29 +156,55 @@ class SwitchableLock(Lock):
         self.core.patched = hooks is not None or self.core.switch_count > 0
 
     # -- lock protocol ---------------------------------------------------
+    # Each side yields the gate and trampoline requests itself and fires
+    # a profiling hook only when a program is attached, reading
+    # ``impl.hooks`` again at every hook point: a policy attached or
+    # detached while the task waits takes effect at the next one.
     def acquire(self, task: Task) -> Iterator:
-        impl = yield from self.core.enter()
+        core = self.core
+        if (yield core.load_gate):
+            yield core.wait_gate_open
+        if core.patched and core.trampoline_ns:
+            yield Delay(core.trampoline_ns)
+        core.inflight += 1
+        impl = core.impl
         self._acquired_impl[task.tid] = impl
-        yield from _fire_event(impl, task, HOOK_LOCK_ACQUIRE)
+        hooks = impl.hooks
+        if hooks is not None and HOOK_LOCK_ACQUIRE in hooks.programs:
+            yield Delay(impl._fire(task, HOOK_LOCK_ACQUIRE, {})[1])
         yield from impl.acquire(task)
         if impl.last_acquire_contended:
-            yield from _fire_event(impl, task, HOOK_LOCK_CONTENDED)
-        yield from _fire_event(impl, task, HOOK_LOCK_ACQUIRED)
+            hooks = impl.hooks
+            if hooks is not None and HOOK_LOCK_CONTENDED in hooks.programs:
+                yield Delay(impl._fire(task, HOOK_LOCK_CONTENDED, {})[1])
+        hooks = impl.hooks
+        if hooks is not None and HOOK_LOCK_ACQUIRED in hooks.programs:
+            yield Delay(impl._fire(task, HOOK_LOCK_ACQUIRED, {})[1])
 
     def release(self, task: Task) -> Iterator:
         impl = self._acquired_impl.pop(task.tid)
-        yield from self.core.exit_side_cost()
-        yield from _fire_event(impl, task, HOOK_LOCK_RELEASE)
+        core = self.core
+        if core.patched and core.trampoline_ns:
+            yield Delay(core.trampoline_ns)
+        hooks = impl.hooks
+        if hooks is not None and HOOK_LOCK_RELEASE in hooks.programs:
+            yield Delay(impl._fire(task, HOOK_LOCK_RELEASE, {})[1])
         yield from impl.release(task)
-        self.core.leave()
+        core.leave()
 
     def try_acquire(self, task: Task) -> Iterator:
-        impl = yield from self.core.enter()
+        core = self.core
+        if (yield core.load_gate):
+            yield core.wait_gate_open
+        if core.patched and core.trampoline_ns:
+            yield Delay(core.trampoline_ns)
+        core.inflight += 1
+        impl = core.impl
         ok = yield from impl.try_acquire(task)
         if ok:
             self._acquired_impl[task.tid] = impl
         else:
-            self.core.leave()
+            core.leave()
         return ok
 
     @property
@@ -237,35 +245,65 @@ class SwitchableRWLock(RWLock):
 
     # -- read side -------------------------------------------------------
     def read_acquire(self, task: Task) -> Iterator:
-        impl = yield from self.core.enter()
+        core = self.core
+        if (yield core.load_gate):
+            yield core.wait_gate_open
+        if core.patched and core.trampoline_ns:
+            yield Delay(core.trampoline_ns)
+        core.inflight += 1
+        impl = core.impl
         self._read_impl[task.tid] = impl
-        yield from _fire_event(impl, task, HOOK_LOCK_ACQUIRE)
+        hooks = impl.hooks
+        if hooks is not None and HOOK_LOCK_ACQUIRE in hooks.programs:
+            yield Delay(impl._fire(task, HOOK_LOCK_ACQUIRE, {})[1])
         yield from impl.read_acquire(task)
-        yield from _fire_event(impl, task, HOOK_LOCK_ACQUIRED)
+        hooks = impl.hooks
+        if hooks is not None and HOOK_LOCK_ACQUIRED in hooks.programs:
+            yield Delay(impl._fire(task, HOOK_LOCK_ACQUIRED, {})[1])
 
     def read_release(self, task: Task) -> Iterator:
         impl = self._read_impl.pop(task.tid)
-        yield from self.core.exit_side_cost()
-        yield from _fire_event(impl, task, HOOK_LOCK_RELEASE)
+        core = self.core
+        if core.patched and core.trampoline_ns:
+            yield Delay(core.trampoline_ns)
+        hooks = impl.hooks
+        if hooks is not None and HOOK_LOCK_RELEASE in hooks.programs:
+            yield Delay(impl._fire(task, HOOK_LOCK_RELEASE, {})[1])
         yield from impl.read_release(task)
-        self.core.leave()
+        core.leave()
 
     # -- write side ------------------------------------------------------
     def write_acquire(self, task: Task) -> Iterator:
-        impl = yield from self.core.enter()
+        core = self.core
+        if (yield core.load_gate):
+            yield core.wait_gate_open
+        if core.patched and core.trampoline_ns:
+            yield Delay(core.trampoline_ns)
+        core.inflight += 1
+        impl = core.impl
         self._write_impl[task.tid] = impl
-        yield from _fire_event(impl, task, HOOK_LOCK_ACQUIRE)
+        hooks = impl.hooks
+        if hooks is not None and HOOK_LOCK_ACQUIRE in hooks.programs:
+            yield Delay(impl._fire(task, HOOK_LOCK_ACQUIRE, {})[1])
         yield from impl.write_acquire(task)
         if impl.last_acquire_contended:
-            yield from _fire_event(impl, task, HOOK_LOCK_CONTENDED)
-        yield from _fire_event(impl, task, HOOK_LOCK_ACQUIRED)
+            hooks = impl.hooks
+            if hooks is not None and HOOK_LOCK_CONTENDED in hooks.programs:
+                yield Delay(impl._fire(task, HOOK_LOCK_CONTENDED, {})[1])
+        hooks = impl.hooks
+        if hooks is not None and HOOK_LOCK_ACQUIRED in hooks.programs:
+            yield Delay(impl._fire(task, HOOK_LOCK_ACQUIRED, {})[1])
 
     def write_release(self, task: Task) -> Iterator:
         impl = self._write_impl.pop(task.tid)
-        yield from self.core.exit_side_cost()
-        yield from _fire_event(impl, task, HOOK_LOCK_RELEASE)
+        core = self.core
+        if core.patched and core.trampoline_ns:
+            yield Delay(core.trampoline_ns)
+        hooks = impl.hooks
+        if hooks is not None and HOOK_LOCK_RELEASE in hooks.programs:
+            yield Delay(impl._fire(task, HOOK_LOCK_RELEASE, {})[1])
         yield from impl.write_release(task)
-        self.core.leave()
+        core.leave()
 
     @property
     def locked(self) -> bool:

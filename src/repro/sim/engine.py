@@ -6,10 +6,15 @@ effect requests (:mod:`repro.sim.ops`); the engine prices each request
 using the cache model and topology, schedules its completion, and resumes
 the generator with the result.
 
-Determinism: the event heap breaks time ties by an insertion sequence
-number, the only randomness lives in the engine's seeded ``rng``, and the
-whole simulation runs on one OS thread — identical (seed, config) inputs
-therefore produce identical traces, which the test suite relies on.
+Determinism: events run in ``(time, seq)`` order, where ``seq`` is an
+insertion sequence number that breaks time ties; the only randomness
+lives in the engine's seeded ``rng``, and the whole simulation runs on
+one OS thread — identical (seed, config) inputs therefore produce
+identical traces, which the test suite relies on.  Pending task starts
+that arrive in time order wait in a FIFO *arrivals lane* beside the
+heap (an open-loop trace spawns thousands ahead of time); the loop takes
+whichever head is smaller, so the order is the same one a single heap
+would give.
 
 Scheduling model (see DESIGN.md §3):
 
@@ -25,6 +30,7 @@ Scheduling model (see DESIGN.md §3):
 from __future__ import annotations
 
 import random as _random
+from collections import deque
 from heapq import heappop, heappush
 from typing import Any, Callable, Dict, List, Optional
 
@@ -43,6 +49,8 @@ _READY = TaskState.READY
 _SPINNING = TaskState.SPINNING
 _PARKED = TaskState.PARKED
 _DONE = TaskState.DONE
+_Load = ops.Load
+_Delay = ops.Delay
 
 # Cost (ns) of a park fast path that consumes a pending token (no syscall).
 _PARK_FASTPATH_NS = 30
@@ -73,7 +81,12 @@ class Engine:
         self.cpus: List[CPU] = [CPU(i) for i in range(topology.nr_cpus)]
         self._speed = topology.cpu_speed
         self.tasks: List[Task] = []
+        # Entries are (time, seq, fn, arg), or (time, seq, None, task,
+        # result) for a request completion; seq is unique, so comparisons
+        # never look past it.
         self._heap: List = []
+        #: Task starts spawned in (time, seq) order, kept out of the heap.
+        self._arrivals: deque = deque()
         self._seq = 0
         self._events_processed = 0
         self._next_tid = 1
@@ -90,10 +103,10 @@ class Engine:
         self._c_parks = counter("sched.parks")
         self._c_wakeups = counter("sched.wakeups")
         self._c_yields = counter("sched.yields")
+        self._cache_load = self.cache.load
 
+        # Load and Delay are priced inline by _resume.
         self._handlers: Dict[type, Callable] = {
-            ops.Delay: self._h_delay,
-            ops.Load: self._h_load,
             ops.Store: self._h_store,
             ops.CAS: self._h_cas,
             ops.Xchg: self._h_xchg,
@@ -131,7 +144,16 @@ class Engine:
         self._next_tid += 1
         task.spawn_time = self.now if at is None else at
         self.tasks.append(task)
-        self._at(task.spawn_time, self._start_task, task)
+        start = task.spawn_time if task.spawn_time > self.now else self.now
+        self._seq += 1
+        entry = (start, self._seq, self._start_task, task)
+        lane = self._arrivals
+        # The newest entry has the largest seq: it sorts after the lane's
+        # tail unless it starts earlier.
+        if not lane or lane[-1][0] <= start:
+            lane.append(entry)
+        else:
+            heappush(self._heap, entry)
         return task
 
     def external_store(self, cell, value: Any, cpu: int = 0) -> None:
@@ -159,6 +181,9 @@ class Engine:
         completions and wake-ups are deferred.  Used by the vCPU
         double-scheduling experiments.
         """
+        self.topology.socket_of(cpu_id)  # range check
+        if duration_ns < 0:
+            raise ValueError(f"negative freeze duration {duration_ns}ns")
         cpu = self.cpus[cpu_id]
         thaw = self.now + duration_ns
         if thaw > cpu.frozen_until:
@@ -176,20 +201,32 @@ class Engine:
         tasks mid-flight — that is how throughput runs end).
         """
         heap = self._heap
+        lane = self._arrivals
+        resume = self._resume
         max_events = self.max_events
         self._stopped = False
-        while heap:
+        while heap or lane:
             if self._events_processed >= max_events:
                 raise SimLimitError(
                     f"exceeded max_events={self.max_events} at t={self.now}ns"
                 )
-            if until is not None and heap[0][0] > until:
-                self.now = until
-                return self.now
-            time_ns, _seq, fn, arg = heappop(heap)
+            if lane and (not heap or lane[0] < heap[0]):
+                if until is not None and lane[0][0] > until:
+                    self.now = until
+                    return self.now
+                entry = lane.popleft()
+            else:
+                if until is not None and heap[0][0] > until:
+                    self.now = until
+                    return self.now
+                entry = heappop(heap)
             self._events_processed += 1
-            self.now = time_ns
-            fn(arg)
+            self.now = entry[0]
+            fn = entry[2]
+            if fn is None:
+                resume(entry[3], entry[4])
+            else:
+                fn(entry[3])
             if self._stopped:
                 return self.now
         if until is None:
@@ -237,7 +274,7 @@ class Engine:
             task.state = _RUNNING
             self._arm_quantum(cpu)
             # The first step resumes the fresh generator with None.
-            self._on_complete((task, None))
+            self._resume(task, None)
         else:
             task.state = _READY
             task.has_pending_value = False
@@ -267,17 +304,23 @@ class Engine:
         if at < self.now:
             at = self.now
         self._seq += 1
-        heappush(self._heap, (at, self._seq, self._on_complete, (task, result)))
+        heappush(self._heap, (at, self._seq, None, task, result))
 
-    def _on_complete(self, payload) -> None:
-        """Deliver a request's result and run the task to its next request."""
-        task, result = payload
+    def _resume(self, task: Task, result: Any) -> None:
+        """Deliver a request's result and run the task to its next request.
+
+        The only place a task's generator is resumed.  ``Load`` and
+        ``Delay``, most of all requests, are priced right here; the rest
+        go through the handler table.
+        """
         if task.state is _DONE:
             return
         cpu = self.cpus[task.cpu_id]
-        if cpu.frozen_until > self.now:
+        now = self.now
+        if cpu.frozen_until > now:
             # vCPU descheduled: progress resumes at thaw.
-            self._at(cpu.frozen_until, self._on_complete, payload)
+            self._seq += 1
+            heappush(self._heap, (cpu.frozen_until, self._seq, None, task, result))
             return
         if cpu.current is not task:
             # We were descheduled while the request was in flight; park the
@@ -313,12 +356,22 @@ class Engine:
             task.finish_time = self.now
             self._release_cpu(task)
             raise
-        handler = self._handlers.get(type(request))
-        if handler is None:
-            raise TaskError(
-                f"{task.name} yielded {request!r}, which is not a sim request"
-            )
-        handler(task, request)
+        kind = type(request)
+        if kind is _Load:
+            finish, value = self._cache_load(now, task.cpu_id, request.cell)
+            self._seq += 1
+            heappush(self._heap, (finish if finish > now else now, self._seq, None, task, value))
+        elif kind is _Delay:
+            cost = int(request.ns * self._speed[task.cpu_id])
+            self._seq += 1
+            heappush(self._heap, (now + cost if cost > 0 else now, self._seq, None, task, None))
+        else:
+            handler = self._handlers.get(kind)
+            if handler is None:
+                raise TaskError(
+                    f"{task.name} yielded {request!r}, which is not a sim request"
+                )
+            handler(task, request)
 
     def _dispatch(self, cpu: CPU) -> None:
         if cpu.current is not None:
@@ -399,19 +452,6 @@ class Engine:
     # ------------------------------------------------------------------
     # Request handlers
     # ------------------------------------------------------------------
-    def _h_delay(self, task: Task, req: ops.Delay) -> None:
-        cost = int(req.ns * self._speed[task.cpu_id])
-        at = self.now + cost if cost > 0 else self.now
-        self._seq += 1
-        heappush(self._heap, (at, self._seq, self._on_complete, (task, None)))
-
-    def _h_load(self, task: Task, req: ops.Load) -> None:
-        now = self.now
-        finish, value = self.cache.load(now, task.cpu_id, req.cell)
-        at = finish if finish > now else now
-        self._seq += 1
-        heappush(self._heap, (at, self._seq, self._on_complete, (task, value)))
-
     def _h_store(self, task: Task, req: ops.Store) -> None:
         finish, _none, rechecks = self.cache.store(
             self.now, task.cpu_id, req.cell, req.value

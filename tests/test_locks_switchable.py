@@ -3,8 +3,18 @@
 import pytest
 
 from repro import locks as L
-from repro.locks.base import LockError
+from repro.locks.base import PROFILING_HOOKS, HookSet, LockError
 from repro.sim import Engine, Topology, ops
+
+#: Lock families a switchable site may move between, by test id.
+FAMILIES = {
+    "mcs": L.MCSLock,
+    "ticket": L.TicketLock,
+    "qspin": L.QSpinLock,
+    "cna": L.CNALock,
+    "shfl-numa": lambda eng: L.ShflLock(eng, policy=L.NumaPolicy()),
+}
+SWITCHES = [(old, new) for old in FAMILIES for new in FAMILIES]
 
 
 class TestSwitching:
@@ -52,28 +62,40 @@ class TestSwitching:
         assert entry_time["t"] >= 5_000
         assert entry_time["impl"] is new_impl
 
-    def test_mutual_exclusion_across_switch(self, topo):
-        """No overlap between a holder on the old impl and one on the new."""
-        eng = Engine(topo, seed=3)
-        site = L.SwitchableLock(eng, L.MCSLock(eng))
-        inside = {"n": 0, "max": 0}
+    @pytest.mark.parametrize(
+        "old, new",
+        SWITCHES,
+        ids=[f"{old}-to-{new}" for old, new in SWITCHES],
+    )
+    def test_mutual_exclusion_across_switch(self, topo, old, new):
+        """No overlap between a holder on the old impl and one on the new,
+        and every worker gets through, for a switch between any two
+        lock families."""
+        for seed, switch_at in ((3, 20_000), (8, 5_000)):
+            eng = Engine(topo, seed=seed)
+            site = L.SwitchableLock(eng, FAMILIES[old](eng))
+            new_impl = FAMILIES[new](eng)
+            inside = {"n": 0, "max": 0}
+            done = []
 
-        def worker(task):
-            for _ in range(30):
-                yield from site.acquire(task)
-                inside["n"] += 1
-                inside["max"] = max(inside["max"], inside["n"])
-                yield ops.Delay(80)
-                inside["n"] -= 1
-                yield from site.release(task)
-                yield ops.Delay(40)
+            def worker(task):
+                for _ in range(30):
+                    yield from site.acquire(task)
+                    inside["n"] += 1
+                    inside["max"] = max(inside["max"], inside["n"])
+                    yield ops.Delay(80)
+                    inside["n"] -= 1
+                    yield from site.release(task)
+                    yield ops.Delay(40)
+                done.append(task.name)
 
-        for cpu in range(6):
-            eng.spawn(worker, cpu=cpu)
-        eng.call_at(20_000, lambda: site.request_switch(L.ShflLock(eng, policy=L.NumaPolicy())))
-        eng.run()
-        assert inside["max"] == 1
-        assert isinstance(site.core.impl, L.ShflLock)
+            for cpu in range(6):
+                eng.spawn(worker, cpu=cpu, name=f"w{cpu}")
+            eng.call_at(switch_at, lambda: site.request_switch(new_impl))
+            eng.run()
+            assert inside["max"] == 1
+            assert sorted(done) == [f"w{cpu}" for cpu in range(6)]
+            assert site.core.impl is new_impl
 
     def test_double_switch_rejected(self, topo):
         eng = Engine(topo, seed=1)
@@ -101,6 +123,63 @@ class TestSwitching:
         site.core._on_switch.append(lambda old, new: seen.append((old, new)))
         site.request_switch(L.TicketLock(eng))
         assert len(seen) == 1
+
+
+class TestHooksChangeWhileWaiting:
+    """Each profiling hook point reads the implementation's hooks when
+    the task reaches it, so attaching or detaching a policy while a task
+    waits changes what fires from the next hook point on."""
+
+    def _run(self, attach_at_start, change):
+        eng = Engine(Topology(sockets=1, cores_per_socket=4), seed=1)
+        site = L.SwitchableLock(eng, L.ShflLock(eng, name="s"))
+        fired = []
+        hooks = HookSet()
+        for hook in PROFILING_HOOKS:
+
+            def program(env, hook=hook):
+                fired.append((hook, env["task"].name, eng.now))
+                return 0, 7
+
+            hooks.attach(hook, program)
+
+        def holder(task):
+            yield from site.acquire(task)
+            yield ops.Delay(5_000)
+            yield from site.release(task)
+
+        def waiter(task):
+            yield ops.Delay(100)
+            yield from site.acquire(task)
+            yield ops.Delay(10)
+            yield from site.release(task)
+
+        eng.spawn(holder, cpu=0, name="holder")
+        eng.spawn(waiter, cpu=1, name="waiter")
+        if attach_at_start:
+            site.attach_hooks(hooks)
+        eng.call_at(1_000, lambda: site.attach_hooks(change(hooks)))
+        eng.run()
+        return fired, eng.now, eng.events_processed
+
+    def test_attach_while_waiting(self):
+        fired, now, events = self._run(False, lambda hooks: hooks)
+        assert fired == [
+            ("lock_release", "holder", 5_064),
+            ("lock_contended", "waiter", 5_254),
+            ("lock_acquired", "waiter", 5_296),
+            ("lock_release", "waiter", 5_388),
+        ]
+        assert (now, events) == (5_434, 30)
+
+    def test_detach_while_waiting(self):
+        fired, now, events = self._run(True, lambda hooks: None)
+        assert fired == [
+            ("lock_acquire", "holder", 44),
+            ("lock_acquired", "holder", 106),
+            ("lock_acquire", "waiter", 144),
+        ]
+        assert (now, events) == (5_310, 29)
 
 
 class TestTrampolineCost:

@@ -2,7 +2,15 @@
 
 import pytest
 
-from repro.sim import DeadlockError, Engine, SimLimitError, TaskState, Topology, ops
+from repro.sim import (
+    DeadlockError,
+    Engine,
+    SimLimitError,
+    TaskState,
+    Topology,
+    TopologyError,
+    ops,
+)
 
 
 def make_engine(**kw):
@@ -318,6 +326,16 @@ class TestScheduling:
         # The second half could only run after the thaw.
         assert task.finish_time >= 10_050
 
+    def test_freeze_cpu_rejects_bad_cpu_and_negative_duration(self):
+        eng = Engine(Topology(sockets=1, cores_per_socket=4))
+        for cpu in (-1, 4):
+            with pytest.raises(TopologyError):
+                eng.freeze_cpu(cpu, 1_000)
+        with pytest.raises(ValueError):
+            eng.freeze_cpu(0, -500)
+        assert [cpu.frozen_until for cpu in eng.cpus] == [0, 0, 0, 0]
+        assert eng.stats.snapshot().get("sched.cpu_freezes", 0) == 0
+
     def test_yield_cpu(self):
         eng = make_engine()
         order = []
@@ -397,6 +415,59 @@ class TestRunControl:
         eng.call_at(1_000, lambda: eng.external_store(cell, 9))
         eng.run()
         assert task.done
+
+
+class TestEventOrder:
+    """Task starts and other events run in exact (time, schedule) order,
+    however the starts were spawned."""
+
+    def test_spawns_and_callbacks_interleave_in_schedule_order(self):
+        eng = make_engine()
+        seen = []
+
+        def body(task):
+            seen.append((eng.now, task.name))
+            yield ops.Delay(1)
+
+        # Equal start times, then decreasing ones, with callbacks at the
+        # same instants scheduled in between.
+        plan = [
+            (500, "spawn"), (500, "call"), (500, "spawn"), (300, "spawn"),
+            (300, "call"), (700, "spawn"), (100, "spawn"), (700, "call"),
+            (100, "call"), (300, "spawn"), (0, "call"), (700, "spawn"),
+        ]
+        spawned = 0
+        for index, (at, kind) in enumerate(plan):
+            name = f"{kind}{index}"
+            if kind == "spawn":
+                eng.spawn(body, cpu=spawned, name=name, at=at)
+                spawned += 1
+            else:
+                eng.call_at(at, lambda name=name: seen.append((eng.now, name)))
+        eng.run()
+        order = sorted(range(len(plan)), key=lambda index: (plan[index][0], index))
+        assert seen == [(plan[i][0], f"{plan[i][1]}{i}") for i in order]
+        # One start and one Delay completion per task, one per callback.
+        assert eng.events_processed == len(plan) + spawned
+
+    @pytest.mark.parametrize("times", [(1_000, 2_000), (2_000, 1_000)])
+    def test_run_until_stops_before_a_pending_arrival(self, times):
+        eng = make_engine()
+        started = []
+
+        def body(task):
+            started.append(eng.now)
+            yield ops.Delay(10)
+
+        for cpu, at in enumerate(times):
+            eng.spawn(body, cpu=cpu, at=at)
+        assert eng.run(until=1_500) == 1_500
+        assert started == [1_000]
+        assert eng.run(until=2_000) == 2_000
+        assert started == [1_000, 2_000]
+        eng.run()
+        assert eng.now == 2_010
+        assert eng.events_processed == 4
 
 
 class TestDeterminism:

@@ -43,18 +43,12 @@ from ..faults import (
     SITE_STORAGE_CORRUPT_SNAPSHOT,
     fault_point,
 )
-from ..storage.record import (
-    RecordCorruption,
-    decode_record,
-    encode_record,
-    maybe_corrupt,
-)
+from ..storage.record import encode_record, maybe_corrupt
 from ..storage.snapshot import (
-    SnapshotCorruption,
-    decode_snapshot,
+    Violation,
     encode_snapshot,
     fold_entries,
-    read_snapshot_file,
+    read_copy,
     write_snapshot_file,
 )
 
@@ -276,59 +270,57 @@ class PolicyJournal:
         self._next_seq = seq + 1
         return seq
 
-    def _member_tag(self) -> str:
-        return f" (member {self.member})" if self.member else ""
+    def stored(self) -> Tuple[Optional[str], List[Tuple[int, str]], bool]:
+        """What is on disk, never the cache: the snapshot blob (or
+        ``None``), the log's non-blank lines numbered physically from 1,
+        and whether the final line lacks its newline.  Both files are
+        read as bytes and decoded with ``errors="replace"``, so a byte
+        that is not UTF-8 is rot for the checksums to find, not a crash.
+        """
+        if self._fh is not None:
+            self._fh.flush()
+        blob = None
+        if os.path.exists(self.snapshot_path):
+            with open(self.snapshot_path, "rb") as fh:
+                blob = fh.read().decode("utf-8", errors="replace")
+        data = b""
+        if os.path.exists(self.path):
+            with open(self.path, "rb") as fh:
+                data = fh.read()
+        decoded = (raw.decode("utf-8", errors="replace") for raw in data.split(b"\n"))
+        lines = [(n, line) for n, line in enumerate(decoded, start=1) if line.strip()]
+        return blob, lines, bool(data) and not data.endswith(b"\n")
 
     def _load(self) -> Tuple[List[Dict[str, Any]], int]:
         """Parse snapshot + log from disk -> ``(entries, last_seq)``."""
-        parsed: List[Dict[str, Any]] = []
-        prev_seq = 0
-        blob = read_snapshot_file(self.snapshot_path)
-        if blob is not None:
-            try:
-                parsed, prev_seq = decode_snapshot(blob)
-            except SnapshotCorruption as exc:
-                raise JournalCorruption(
-                    f"{self.snapshot_path}: corrupt snapshot{self._member_tag()}: {exc}",
-                    path=self.snapshot_path,
-                    member=self.member,
-                ) from None
-        if not os.path.exists(self.path):
-            return parsed, prev_seq
-        with open(self.path, "r", encoding="utf-8") as fh:
-            lines = fh.read().split("\n")
-        last = 0  # physical number of the last non-blank line
-        for lineno, line in enumerate(lines, start=1):
-            if line.strip():
-                last = lineno
-        for lineno, line in enumerate(lines, start=1):
-            if not line.strip():
-                continue
-            try:
-                seq, entry = decode_record(line)
-            except RecordCorruption as exc:
-                if lineno == last:
-                    break  # torn final write; everything before it holds
-                raise JournalCorruption(
-                    f"{self.path}: corrupt journal line {lineno}"
-                    f"{self._member_tag()}: {exc} "
-                    f"(not the final line — this is not a torn write)",
-                    path=self.path,
-                    line=lineno,
-                    member=self.member,
-                ) from None
-            if seq <= prev_seq:
-                raise JournalCorruption(
-                    f"{self.path}: journal line {lineno}{self._member_tag()}: "
-                    f"seq {seq} does not advance past {prev_seq} "
-                    f"(not a torn write — sequence numbers only grow)",
-                    path=self.path,
-                    line=lineno,
-                    member=self.member,
-                )
-            prev_seq = seq
-            parsed.append(entry)
-        return parsed, prev_seq
+        blob, lines, _ = self.stored()
+        copy = read_copy(blob, lines, keyed=False)
+        if copy.violations:
+            bad = copy.violations[0]
+            if bad.kind != "record" or bad.position != lines[-1][0]:
+                raise self._corruption(bad)
+            # A corrupt final line is a torn write; everything before it holds.
+        return copy.entries, copy.last_seq
+
+    def _corruption(self, bad: Violation) -> JournalCorruption:
+        tag = f" (member {self.member})" if self.member else ""
+        if bad.kind == "snapshot":
+            return JournalCorruption(
+                f"{self.snapshot_path}: corrupt snapshot{tag}: {bad.detail}",
+                path=self.snapshot_path,
+                member=self.member,
+            )
+        if bad.kind == "record":
+            where = "corrupt journal line"
+            why = "not the final line — this is not a torn write"
+        else:
+            where, why = "journal line", "not a torn write — sequence numbers only grow"
+        return JournalCorruption(
+            f"{self.path}: {where} {bad.position}{tag}: {bad.detail} ({why})",
+            path=self.path,
+            line=bad.position,
+            member=self.member,
+        )
 
     # ------------------------------------------------------------------
     # Compaction & salvage
@@ -379,61 +371,35 @@ class PolicyJournal:
         """
         if self.path is None:
             return {"kept": len(self._memory), "dropped": 0, "snapshot_ok": True}
-        if self._fh is not None:
-            self._fh.close()
-            self._fh = None
+        self.close()
         report: Dict[str, Any] = {
             "kept": 0,
             "dropped": 0,
             "snapshot_ok": True,
             "line": None,
         }
-        parsed: List[Dict[str, Any]] = []
-        prev_seq = 0
-        blob = read_snapshot_file(self.snapshot_path)
-        if blob is not None:
-            try:
-                parsed, prev_seq = decode_snapshot(blob)
-            except SnapshotCorruption:
-                report["snapshot_ok"] = False
-                os.replace(self.snapshot_path, self.snapshot_path + ".corrupt")
-                parsed, prev_seq = [], 0
-        good_lines: List[str] = []
-        bad_line: Optional[int] = None
-        if os.path.exists(self.path):
-            with open(self.path, "r", encoding="utf-8") as fh:
-                lines = fh.read().split("\n")
-            for lineno, line in enumerate(lines, start=1):
-                if not line.strip():
-                    continue
-                try:
-                    seq, entry = decode_record(line)
-                    if seq <= prev_seq:
-                        raise RecordCorruption(
-                            f"seq {seq} does not advance past {prev_seq}"
-                        )
-                except RecordCorruption:
-                    bad_line = lineno
-                    report["line"] = lineno
-                    report["dropped"] = sum(
-                        1 for rest in lines[lineno - 1 :] if rest.strip()
-                    )
-                    break
-                prev_seq = seq
-                parsed.append(entry)
-                good_lines.append(line)
-            if bad_line is not None:
-                os.replace(self.path, self.path + ".corrupt")
-                with open(self.path, "w", encoding="utf-8") as fh:
-                    for line in good_lines:
+        blob, lines, _ = self.stored()
+        copy = read_copy(blob, lines, keyed=False)
+        if copy.violations and copy.violations[0].kind == "snapshot":
+            report["snapshot_ok"] = False
+            os.replace(self.snapshot_path, self.snapshot_path + ".corrupt")
+            copy = read_copy(None, lines, keyed=False)
+        if copy.violations:
+            bad_line = copy.violations[0].position
+            report["line"] = bad_line
+            report["dropped"] = sum(1 for lineno, _ in lines if lineno >= bad_line)
+            os.replace(self.path, self.path + ".corrupt")
+            with open(self.path, "w", encoding="utf-8") as fh:
+                for lineno, line in lines:
+                    if lineno < bad_line:
                         fh.write(line + "\n")
-                    fh.flush()
-                    os.fsync(fh.fileno())
+                fh.flush()
+                os.fsync(fh.fileno())
         self._fh = open(self.path, "a", encoding="utf-8")
-        self._cache = parsed
+        self._cache = copy.entries
         self._cache_sig = self._sig()
-        self._next_seq = prev_seq + 1
-        report["kept"] = len(parsed)
+        self._next_seq = copy.last_seq + 1
+        report["kept"] = len(copy.entries)
         return report
 
     def heartbeat(self, ts: int, **extra: Any) -> None:

@@ -543,7 +543,7 @@ PlacementRefresher`; consulted after each completed wave.  When it
                             "event": "replan",
                             "rollout": plan.policy,
                             "after_wave": wave.index,
-                            "drift": getattr(self.refresher, "last_drift", None),
+                            "drift": self.refresher.last_drift,
                             "plan": plan.serialize(),
                         }
                     )
@@ -1063,8 +1063,6 @@ PlacementRefresher`; consulted after each completed wave.  When it
         try:
             entries = [e for e in self.journal.entries() if e.get("kind") == "fleet"]
         except JournalCorruption:
-            if not hasattr(self.journal, "salvage"):
-                raise
             report = self.journal.salvage()
             self._journal(
                 {
@@ -1106,9 +1104,7 @@ PlacementRefresher`; consulted after each completed wave.  When it
                 "cause": str(exc),
             }
         )
-        report: Dict[str, object] = {}
-        if member.journal is not None and hasattr(member.journal, "salvage"):
-            report = member.journal.salvage()
+        report = member.journal.salvage()
         try:
             member.restart()
             if member.journal is not None and len(member.journal):

@@ -263,7 +263,7 @@ class HealthMonitor:
         replica group probe as an empty dict.
         """
         member: FleetMember = self.fleet.member(name)
-        group = getattr(member, "replica_group", None)
+        group = member.replica_group
         if group is None:
             return {}
         records: Dict[str, ProbeRecord] = {}
@@ -277,7 +277,7 @@ class HealthMonitor:
 
     def _probe_site_once(self, site) -> "tuple[bool, str]":
         if site.state is SiteState.DOWN:
-            if getattr(site, "down_partitioned", False):
+            if site.down_partitioned:
                 return False, "site down (partitioned, log intact)"
             return False, "site down"
         try:

@@ -62,7 +62,7 @@ class FleetMember:
         if replica_group is not None and "journal" not in daemon_kwargs:
             daemon_kwargs["journal"] = replica_group.journal()
         journal = daemon_kwargs.get("journal")
-        if journal is not None and getattr(journal, "member", None) is None:
+        if journal is not None and journal.member is None:
             # Stamp the owning member into the shard so corruption errors
             # name whose journal rotted, not just which file.
             journal.member = name

@@ -42,7 +42,7 @@ from ..faults import (
     fault_point,
 )
 from ..netsim import Fabric, NetError
-from ..storage.record import entries_digest, maybe_corrupt
+from ..storage.record import majority_digest, maybe_corrupt
 from ..storage.snapshot import encode_snapshot, fold_entries
 from .site import (
     ReplicaSite,
@@ -322,47 +322,32 @@ class ReplicaGroup:
         casualty is left untouched (evidence, not a guess).
         """
         site = self.site(name)
-        tally: Dict[int, List[ReplicaSite]] = {}
+        digests: Dict[str, int] = {}
         for peer in self.sites:
             if peer is site or peer.state is SiteState.DOWN:
                 continue
             if peer.last_seq < self.commit_index:
                 continue  # lagging: cannot vouch for the whole prefix
             try:
-                # Fold before digesting so a compacted donor and one
-                # still holding the raw records it folded agree.
-                digest = entries_digest(
-                    fold_entries(peer.committed_entries(self.commit_index))
-                )
+                digests[peer.name] = peer.digest(self.commit_index)
             except ReplicationError:
                 continue  # rotten itself; cannot donate
-            tally.setdefault(digest, []).append(peer)
-        if not tally:
+        if not digests:
             raise NoQuorum(
                 f"group {self.name}: no clean peer to repair {site.name} from"
             )
-
-        def weight(item):
-            _, peers = item
-            return (
-                len(peers),
-                any(p is self.leader for p in peers),
-                min(p.name for p in peers),
-            )
-
-        donors = max(tally.items(), key=weight)[1]
-        source = next(
-            (p for p in donors if p is self.leader),
-            sorted(donors, key=lambda p: p.name)[0],
-        )
-        if source is not site:
-            try:
-                self.fabric.deliver(source.name, site.name, op="repair")
-            except NetError as exc:
-                raise NoQuorum(
-                    f"group {self.name}: repair of {site.name} from "
-                    f"{source.name} blocked by partition: {exc}"
-                ) from exc
+        winner = majority_digest(digests, self.leader.name)
+        if digests.get(self.leader.name) == winner:
+            source = self.leader
+        else:
+            source = self.site(min(n for n, d in digests.items() if d == winner))
+        try:
+            self.fabric.deliver(source.name, site.name, op="repair")
+        except NetError as exc:
+            raise NoQuorum(
+                f"group {self.name}: repair of {site.name} from "
+                f"{source.name} blocked by partition: {exc}"
+            ) from exc
         site.base = source.base
         site.base_seq = source.base_seq
         site.log = {

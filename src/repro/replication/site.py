@@ -43,8 +43,8 @@ from ..faults import (
     SITE_STORAGE_CORRUPT_LINE,
     fault_point,
 )
-from ..storage.record import RecordCorruption, decode_record, encode_record, maybe_corrupt
-from ..storage.snapshot import SnapshotCorruption, decode_snapshot
+from ..storage.record import encode_record, entries_digest, maybe_corrupt
+from ..storage.snapshot import fold_entries, read_copy
 
 __all__ = [
     "ReplicaSite",
@@ -179,42 +179,38 @@ class ReplicaSite:
 
     def entry(self, seq: int) -> Dict[str, Any]:
         """Decode and verify the record stored at ``seq``."""
-        try:
-            got, payload = decode_record(self.log[seq])
-        except RecordCorruption as exc:
-            raise SiteCorrupt(
-                f"site {self.name}: record at seq {seq} is corrupt: {exc}"
-            ) from None
-        if got != seq:
-            raise SiteCorrupt(
-                f"site {self.name}: record at seq {seq} claims seq {got}"
-            )
-        return payload
-
-    def base_entries(self) -> List[Dict[str, Any]]:
-        """Decode and verify the compacted prefix (empty if none)."""
-        if self.base is None:
-            return []
-        try:
-            entries, _ = decode_snapshot(self.base)
-        except SnapshotCorruption as exc:
-            raise SiteCorrupt(
-                f"site {self.name}: snapshot base is corrupt: {exc}"
-            ) from None
-        return entries
+        return self._verified(None, [seq])[0]
 
     def committed_entries(self, commit_index: int) -> List[Dict[str, Any]]:
         """The verified committed prefix: snapshot base + log entries in
         ``(base_seq, commit_index]``.  Ungated — scrub and repair must
         read a copy regardless of its read-gate state; :meth:`read` is
         the gated public path."""
-        entries = self.base_entries()
-        entries.extend(
-            self.entry(seq)
-            for seq in sorted(self.log)
-            if self.base_seq < seq <= commit_index
+        return self._verified(
+            self.base,
+            [seq for seq in sorted(self.log) if self.base_seq < seq <= commit_index],
         )
-        return entries
+
+    def digest(self, commit_index: int) -> int:
+        """Content digest of the committed prefix, folded first: folding
+        is deterministic and idempotent, so a copy holding a compaction
+        snapshot and one still holding the raw records it folded digest
+        identically (a difference folding erases is, by the fold's
+        contract, invisible to replay)."""
+        return entries_digest(fold_entries(self.committed_entries(commit_index)))
+
+    def _verified(self, base: Optional[str], seqs: List[int]) -> List[Dict[str, Any]]:
+        copy = read_copy(base, [(seq, self.log[seq]) for seq in seqs], keyed=True)
+        if copy.violations:
+            bad = copy.violations[0]
+            if bad.kind == "snapshot":
+                problem = f"snapshot base is corrupt: {bad.detail}"
+            elif bad.kind == "record":
+                problem = f"record at seq {bad.position} is corrupt: {bad.detail}"
+            else:
+                problem = f"record at seq {bad.position} claims seq {bad.seq}"
+            raise SiteCorrupt(f"site {self.name}: {problem}")
+        return copy.entries
 
     def install_snapshot(self, blob: str, last_seq: int) -> None:
         """Replace the prefix up to ``last_seq`` with a compacted base.

@@ -8,7 +8,8 @@ package makes the trust earned:
   CRC32 + monotonic sequence number (the v2 envelope, the only record
   format), plus the ``storage.corrupt.*`` bit-flip injection;
 * :mod:`repro.storage.snapshot` — checkpoint/compaction: fold the
-  committed prefix into a checksummed snapshot, replay snapshot + tail;
+  committed prefix into a checksummed snapshot, and :func:`read_copy`,
+  the one reader that judges a stored snapshot + records;
 * :mod:`repro.storage.scrub` — the :class:`Scrubber`: checksum scrub,
   cross-site anti-entropy digests, and quorum-peer repair.
 
@@ -33,7 +34,6 @@ from .snapshot import (
     decode_snapshot,
     encode_snapshot,
     fold_entries,
-    read_snapshot_file,
     write_snapshot_file,
 )
 
@@ -54,7 +54,6 @@ __all__ = [
     "flip_byte",
     "fold_entries",
     "maybe_corrupt",
-    "read_snapshot_file",
     "record_crc",
     "write_snapshot_file",
 ]

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import json
 import zlib
-from typing import Any, Dict, Iterable, Tuple
+from typing import Any, Dict, Iterable, List, Tuple
 
 from ..faults import fault_point
 
@@ -34,6 +34,7 @@ __all__ = [
     "encode_record",
     "entries_digest",
     "flip_byte",
+    "majority_digest",
     "maybe_corrupt",
     "record_crc",
 ]
@@ -105,6 +106,16 @@ def entries_digest(entries: Iterable[Dict[str, Any]]) -> int:
     for entry in entries:
         digest = zlib.crc32(canonical(entry).encode("utf-8"), digest)
     return digest & 0xFFFFFFFF
+
+
+def majority_digest(digests: Dict[str, int], leader: str) -> int:
+    """The digest most copies hold (``digests``: holder name -> digest).
+    A tie goes to the leader's copy, then to the copy whose
+    lowest-named holder sorts last."""
+    held: Dict[int, List[str]] = {}  # digest -> names of the copies holding it
+    for name, digest in digests.items():
+        held.setdefault(digest, []).append(name)
+    return max(held, key=lambda d: (len(held[d]), leader in held[d], min(held[d])))
 
 
 # ----------------------------------------------------------------------

@@ -32,13 +32,8 @@ from __future__ import annotations
 from typing import Any, Dict, List, NamedTuple, Optional, Tuple
 
 from ..faults import SITE_STORAGE_CORRUPT_DIGEST, fault_point
-from .record import RecordCorruption, decode_record, entries_digest
-from .snapshot import (
-    SnapshotCorruption,
-    decode_snapshot,
-    fold_entries,
-    read_snapshot_file,
-)
+from .record import majority_digest
+from .snapshot import read_copy
 
 __all__ = ["ScrubFinding", "ScrubReport", "Scrubber"]
 
@@ -110,17 +105,11 @@ class Scrubber:
     # ------------------------------------------------------------------
     def scrub_member(self, member) -> ScrubReport:
         """Scrub whatever store backs one fleet member."""
-        group = getattr(member, "replica_group", None)
-        journal = getattr(member, "journal", None)
-        if group is None:
-            group = getattr(journal, "group", None)
-        if group is not None:
-            return self.scrub_group(group)
-        if journal is not None and getattr(journal, "path", None) is not None:
-            return self.scrub_journal(journal)
-        return self._done(
-            ScrubReport(target=getattr(member, "name", "<member>"), checked=0, findings=())
-        )
+        if member.replica_group is not None:
+            return self.scrub_group(member.replica_group)
+        if member.journal is not None and member.journal.path is not None:
+            return self.scrub_journal(member.journal)
+        return self._done(ScrubReport(target=member.name, checked=0, findings=()))
 
     # ------------------------------------------------------------------
     # File-backed journals
@@ -130,63 +119,31 @@ class Scrubber:
         file-backed journal against the raw bytes on disk — never the
         journal's in-memory cache; the cache is exactly what a scrub
         must not trust."""
-        import os
-
         path = journal.path
-        member = getattr(journal, "member", None)
-        target = path if member is None else f"{path} (member {member})"
-        findings: List[ScrubFinding] = []
-        checked = 0
-        prev_seq = 0
-
-        snapshot_path = getattr(journal, "snapshot_path", None)
-        if snapshot_path is not None:
-            blob = read_snapshot_file(snapshot_path)
-            if blob is not None:
-                try:
-                    _, prev_seq = decode_snapshot(blob)
-                    checked += 1
-                except SnapshotCorruption as exc:
-                    findings.append(
-                        ScrubFinding(target=snapshot_path, kind="snapshot", detail=str(exc))
-                    )
-
-        if journal._fh is not None:
-            journal._fh.flush()
-        if path is not None and os.path.exists(path):
-            with open(path, "rb") as fh:
-                data = fh.read()
-            if data and not data.endswith(b"\n"):
-                findings.append(
-                    ScrubFinding(
-                        target=path,
-                        kind="tail",
-                        detail="final line is not newline-terminated (torn write)",
-                    )
+        blob, lines, torn = journal.stored()
+        copy = read_copy(blob, lines, keyed=False)
+        findings = [
+            ScrubFinding(
+                target=journal.snapshot_path if v.position is None else path,
+                kind=v.kind,
+                detail=v.detail,
+                line=v.position,
+            )
+            for v in copy.violations
+        ]
+        if torn:
+            findings.append(
+                ScrubFinding(
+                    target=path,
+                    kind="tail",
+                    detail="final line is not newline-terminated (torn write)",
                 )
-            for lineno, raw in enumerate(data.split(b"\n"), start=1):
-                line = raw.decode("utf-8", errors="replace")
-                if not line.strip():
-                    continue
-                try:
-                    seq, _ = decode_record(line)
-                except RecordCorruption as exc:
-                    findings.append(
-                        ScrubFinding(target=path, kind="record", detail=str(exc), line=lineno)
-                    )
-                    continue
-                checked += 1
-                if seq <= prev_seq:
-                    findings.append(
-                        ScrubFinding(
-                            target=path,
-                            kind="sequence",
-                            detail=f"seq {seq} does not advance past {prev_seq}",
-                            line=lineno,
-                        )
-                    )
-                prev_seq = max(prev_seq, seq)
-        report = ScrubReport(target=target, checked=checked, findings=tuple(findings))
+            )
+        findings.sort(key=lambda f: f.line or 0)  # snapshot, tail, then by line
+        target = path if journal.member is None else f"{path} (member {journal.member})"
+        report = ScrubReport(
+            target=target, checked=copy.verified, findings=tuple(findings)
+        )
         self._journal_verdict(report)
         return self._done(report)
 
@@ -213,7 +170,20 @@ class Scrubber:
                 # A complete prefix is comparable; a lagging site is
                 # merely behind (catch-up's job), not diverged.
                 digests[site.name] = self._digest_read(site, group.commit_index)
-        findings.extend(self._compare_digests(group, digests))
+        if len(digests) >= 2:  # else there is nothing to compare against
+            authoritative = majority_digest(digests, group.leader.name)
+            findings.extend(
+                ScrubFinding(
+                    target=name,
+                    kind="digest",
+                    detail=(
+                        f"committed prefix digest {digests[name]:#010x} diverges "
+                        f"from quorum {authoritative:#010x}"
+                    ),
+                )
+                for name in sorted(digests)
+                if digests[name] != authoritative
+            )
 
         repaired: List[str] = []
         if self.repair:
@@ -234,48 +204,22 @@ class Scrubber:
         return self._done(report)
 
     def _scrub_site(self, site, commit_index: int) -> List[ScrubFinding]:
-        findings: List[ScrubFinding] = []
-        base = getattr(site, "base", None)
-        if base is not None:
-            try:
-                decode_snapshot(base)
-            except SnapshotCorruption as exc:
-                findings.append(
-                    ScrubFinding(target=site.name, kind="snapshot", detail=str(exc))
-                )
-        for seq in sorted(site.log):
-            if seq > commit_index:
-                continue  # uncommitted residue; election truncates it
-            try:
-                got, _ = decode_record(site.log[seq])
-            except RecordCorruption as exc:
-                findings.append(
-                    ScrubFinding(target=site.name, kind="record", detail=str(exc), seq=seq)
-                )
-                continue
-            if got != seq:
-                findings.append(
-                    ScrubFinding(
-                        target=site.name,
-                        kind="sequence",
-                        detail=f"record claims seq {got} but is stored at {seq}",
-                        seq=seq,
-                    )
-                )
-        return findings
+        # Records past the commit index are uncommitted residue; election
+        # truncates them.
+        records = [
+            (seq, site.log[seq]) for seq in sorted(site.log) if seq <= commit_index
+        ]
+        return [
+            ScrubFinding(target=site.name, kind=v.kind, detail=v.detail, seq=v.position)
+            for v in read_copy(site.base, records, keyed=True).violations
+        ]
 
     def _digest_read(self, site, commit_index: int) -> int:
-        """One site's committed-prefix content digest, as the scrubber
-        reads it — the ``storage.corrupt.digest`` site models this read
-        going bad, which must cause at worst a harmless repair.
-
-        The prefix is folded before digesting: folding is deterministic
-        and idempotent, so a site holding a compaction snapshot and one
-        still holding the raw records it folded digest identically —
-        representation differences are not divergence.  (A difference
-        folding erases is by the fold's contract replay-invisible.)
-        """
-        digest = entries_digest(fold_entries(site.committed_entries(commit_index)))
+        """One site's folded committed-prefix digest
+        (:meth:`ReplicaSite.digest`), as the scrubber reads it — the
+        ``storage.corrupt.digest`` site models this read going bad,
+        which must cause at worst a harmless repair."""
+        digest = site.digest(commit_index)
         try:
             fault_point(
                 SITE_STORAGE_CORRUPT_DIGEST,
@@ -285,34 +229,6 @@ class Scrubber:
         except _BadDigestRead:
             digest ^= 0x1
         return digest
-
-    def _compare_digests(self, group, digests: Dict[str, int]) -> List[ScrubFinding]:
-        if len(digests) < 2:
-            return []  # nothing to compare against
-        tally: Dict[int, List[str]] = {}
-        for name, digest in digests.items():
-            tally.setdefault(digest, []).append(name)
-        # Majority wins; a tie is broken toward the leader's copy, then
-        # deterministically by site name.
-        leader = group.leader.name
-
-        def weight(item):
-            _, names = item
-            return (len(names), leader in names, min(names))
-
-        authoritative = max(tally.items(), key=weight)[0]
-        return [
-            ScrubFinding(
-                target=name,
-                kind="digest",
-                detail=(
-                    f"committed prefix digest {digests[name]:#010x} diverges "
-                    f"from quorum {authoritative:#010x}"
-                ),
-            )
-            for name in sorted(digests)
-            if digests[name] != authoritative
-        ]
 
     # ------------------------------------------------------------------
     def _journal_verdict(self, report: ScrubReport) -> None:

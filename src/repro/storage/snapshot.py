@@ -30,6 +30,10 @@ payload; a flipped byte anywhere fails :func:`decode_snapshot` with
 :class:`SnapshotCorruption`.  File-backed journals write it atomically
 (temp file + fsync + rename), so a crash mid-compaction leaves either
 the old snapshot or the new one, never a torn hybrid.
+
+:func:`read_copy` is the one reader of a stored copy — a snapshot base
+plus framed records, from a journal file or a replica site — and the
+one place that decides how far its bytes can be trusted.
 """
 
 from __future__ import annotations
@@ -37,17 +41,19 @@ from __future__ import annotations
 import json
 import os
 import zlib
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Iterable, List, NamedTuple, Optional, Tuple
 
-from .record import canonical
+from .record import RecordCorruption, canonical, decode_record
 
 __all__ = [
     "SNAPSHOT_VERSION",
     "SnapshotCorruption",
+    "StoredCopy",
+    "Violation",
     "decode_snapshot",
     "encode_snapshot",
     "fold_entries",
-    "read_snapshot_file",
+    "read_copy",
     "write_snapshot_file",
 ]
 
@@ -171,6 +177,71 @@ def decode_snapshot(blob: str) -> Tuple[List[Dict[str, Any]], int]:
 
 
 # ----------------------------------------------------------------------
+# Reading a stored copy back
+# ----------------------------------------------------------------------
+class Violation(NamedTuple):
+    """One reason a stored copy cannot be trusted from some point on."""
+
+    kind: str  #: "snapshot" | "record" | "sequence"
+    position: Optional[int]  #: where the record is stored; None for the snapshot
+    detail: str
+    seq: Optional[int] = None  #: the seq a decoded record claims
+
+
+class StoredCopy(NamedTuple):
+    """What :func:`read_copy` found."""
+
+    entries: List[Dict[str, Any]]  #: snapshot + records before the first violation
+    last_seq: int  #: the seq ``entries`` end at
+    verified: int  #: blobs that decoded: the snapshot and each record
+    violations: List[Violation]
+
+
+def read_copy(
+    base: Optional[str], records: Iterable[Tuple[int, str]], keyed: bool
+) -> StoredCopy:
+    """Read back a snapshot ``base`` (or ``None``) plus framed
+    ``(position, raw)`` records, in order, and judge them.
+
+    ``keyed`` says what a position is.  For a replica site it is the seq
+    the record must claim.  For a file it is a physical line number, and
+    each record's seq must advance past every seq verified before it.  Every
+    record is read, so a scrub sees every violation, but ``entries`` and
+    ``last_seq`` stop at the first one: that prefix is what a reader may
+    trust.
+    """
+    entries: List[Dict[str, Any]] = []
+    last_seq = high = verified = 0
+    violations: List[Violation] = []
+    if base is not None:
+        try:
+            entries, last_seq = decode_snapshot(base)
+            high = last_seq
+            verified = 1
+        except SnapshotCorruption as exc:
+            violations.append(Violation("snapshot", None, str(exc)))
+    for position, raw in records:
+        try:
+            seq, entry = decode_record(raw)
+        except RecordCorruption as exc:
+            violations.append(Violation("record", position, str(exc)))
+            continue
+        verified += 1
+        if keyed and seq != position:
+            detail = f"record claims seq {seq} but is stored at {position}"
+        elif not keyed and seq <= high:
+            detail = f"seq {seq} does not advance past {high}"
+        else:
+            high = seq
+            if not violations:
+                entries.append(entry)
+                last_seq = seq
+            continue
+        violations.append(Violation("sequence", position, detail, seq))
+    return StoredCopy(entries, last_seq, verified, violations)
+
+
+# ----------------------------------------------------------------------
 # File backing
 # ----------------------------------------------------------------------
 def write_snapshot_file(path: str, blob: str) -> None:
@@ -181,11 +252,3 @@ def write_snapshot_file(path: str, blob: str) -> None:
         fh.flush()
         os.fsync(fh.fileno())
     os.replace(tmp, path)
-
-
-def read_snapshot_file(path: str) -> Optional[str]:
-    """The snapshot blob at ``path``, or ``None`` if none exists."""
-    if not os.path.exists(path):
-        return None
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()

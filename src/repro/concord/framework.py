@@ -5,7 +5,7 @@
     3. lock-safety validation                   -> ConcordVerifier
     4. notify the user of the outcome           -> events + return value
     5. store the program in the BPF filesystem  -> BpfFS pin
-    6. livepatch the annotated lock functions   -> Patcher + HookSet
+    6. livepatch the annotated lock functions   -> HookSet on the call site
 
 One :class:`Concord` instance manages one simulated kernel.  Policies
 chain per (hook, lock); lock implementations can be switched on the fly;
@@ -21,7 +21,7 @@ from ..bpf.frontend import compile_policy
 from ..bpf.vm import VM
 from ..kernel.core import Kernel
 from ..locks.base import HookSet, Lock
-from ..locks.switchable import SwitchableLock, SwitchableRWLock
+from ..locks.switchable import SwitchableLock
 from .api import LAYOUT_FOR_HOOK, make_hook_fn
 from .bpffs import BpfFS, BpfIOError
 from .policy import (
@@ -73,9 +73,6 @@ class Concord:
         self.policies: Dict[str, LoadedPolicy] = {}
         #: lock name -> hook -> ordered policy chain
         self._chains: Dict[str, Dict[str, List[LoadedPolicy]]] = {}
-        #: lock name -> live HookSet installed on that site
-        self._hooksets: Dict[str, HookSet] = {}
-        self._carryover_installed: Dict[str, bool] = {}
         self._subscribers: List[Callable[[ConcordEvent], None]] = []
 
     # ------------------------------------------------------------------
@@ -140,6 +137,18 @@ class Concord:
             raise BPFError(f"{spec.name}: empty target list")
         return explicit
 
+    def _site(self, lock_name: str) -> SwitchableLock:
+        """The call site registered as ``lock_name``.  Concord reaches a
+        lock only through one; a lock registered without a site is
+        refused, as the patcher refuses it."""
+        site = self.kernel.locks.get(lock_name)
+        if not isinstance(site, SwitchableLock):
+            raise BPFError(
+                f"lock {lock_name!r} is not a patchable call site "
+                f"(wrap it in SwitchableLock to annotate it)"
+            )
+        return site
+
     def load_policy(
         self, spec: PolicySpec, targets: Optional[Sequence[str]] = None
     ) -> LoadedPolicy:
@@ -161,6 +170,7 @@ class Concord:
 
         attach_to = self._resolve_targets(spec, targets)
         for name in attach_to:
+            self._site(name)
             chain = self._chains.get(name, {}).get(spec.hook, [])
             check_conflicts(chain, spec, name)
 
@@ -221,6 +231,7 @@ class Concord:
                 continue
             if lock_name not in self.kernel.locks:
                 raise BPFError(f"{name}: target lock {lock_name!r} is not registered")
+            self._site(lock_name)
             chain = self._chains.get(lock_name, {}).get(loaded.spec.hook, [])
             check_conflicts(chain, loaded.spec, lock_name)
             fresh.append(lock_name)
@@ -266,14 +277,19 @@ class Concord:
         chains = self._chains.get(lock_name, {})
         live = {hook: chain for hook, chain in chains.items() if chain}
         if not live:
-            self._set_site_hooks(site, None)
+            site.attach_hooks(None)
             return
+        kernel = self.kernel
+
+        def lock_id_of(_lock):
+            # Whichever implementation fires, programs see the site's id.
+            return kernel.lock_id(site)
+
         hookset = HookSet(dispatch_ns=self.dispatch_ns)
         for hook, chain in live.items():
             fns = [
                 self._breaker_fn(
-                    policy,
-                    make_hook_fn(hook, policy.program, self.vm, self.kernel.lock_id),
+                    policy, make_hook_fn(hook, policy.program, self.vm, lock_id_of)
                 )
                 for policy in chain
             ]
@@ -282,8 +298,7 @@ class Concord:
                 hookset.attach(hook, fns[0])
             else:
                 hookset.attach(hook, _chain_fn(fns, combiner))
-        self._hooksets[lock_name] = hookset
-        self._set_site_hooks(site, hookset)
+        site.attach_hooks(hookset)
 
     # ------------------------------------------------------------------
     # Fail-open degradation: the per-policy runtime circuit breaker
@@ -334,19 +349,6 @@ class Concord:
                 f"locks fall back to stock behaviour ({released})",
             )
 
-    def _set_site_hooks(self, site: Lock, hookset: Optional[HookSet]) -> None:
-        if isinstance(site, (SwitchableLock, SwitchableRWLock)):
-            site.attach_hooks(hookset)
-            name = site.name
-            if not self._carryover_installed.get(name):
-                # Keep hooks attached across implementation switches.
-                site.core._on_switch.append(
-                    lambda old, new, s=site: setattr(new, "hooks", old.hooks)
-                )
-                self._carryover_installed[name] = True
-        else:
-            site.hooks = hookset
-
     # ------------------------------------------------------------------
     # Lock switching and parameters (the other half of C3)
     # ------------------------------------------------------------------
@@ -362,8 +364,7 @@ class Concord:
 
     def set_lock_param(self, lock_name: str, param: str, value) -> None:
         """Tune a lock parameter (e.g. ``spin_budget_ns``) from userspace."""
-        site = self.kernel.locks.get(lock_name)
-        impl = site.core.impl if isinstance(site, (SwitchableLock, SwitchableRWLock)) else site
+        impl = self._site(lock_name).impl
         if not hasattr(impl, param):
             raise BPFError(f"{lock_name}: lock has no parameter {param!r}")
         setattr(impl, param, value)
@@ -375,7 +376,7 @@ class Concord:
             "policies": sorted(self.policies),
             "pinned": self.bpffs.listdir(),
             "patched_locks": sorted(
-                name for name, hookset in self._hooksets.items() if hookset
+                name for name, chains in self._chains.items() if any(chains.values())
             ),
             "events": len(self.events),
         }

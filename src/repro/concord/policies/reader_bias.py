@@ -9,7 +9,6 @@ reader bias at run time (a *parameter* change rather than a program).
 from __future__ import annotations
 
 from ...locks.bravo import BravoLock
-from ...locks.switchable import SwitchableRWLock
 from ..framework import Concord
 
 __all__ = ["install_bravo", "set_reader_bias"]
@@ -31,8 +30,7 @@ def install_bravo(concord: Concord, lock_name: str, start_biased: bool = True):
 
 def set_reader_bias(concord: Concord, lock_name: str, enabled: bool) -> None:
     """Toggle an installed BRAVO layer's reader bias from userspace."""
-    site = concord.kernel.locks.get(lock_name)
-    impl = site.core.impl if isinstance(site, SwitchableRWLock) else site
+    impl = concord._site(lock_name).impl
     if not isinstance(impl, BravoLock):
         raise TypeError(f"{lock_name} is not backed by a BravoLock (got {type(impl).__name__})")
     concord.kernel.engine.external_store(impl.rbias, 1 if enabled else 0)

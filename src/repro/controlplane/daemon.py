@@ -27,6 +27,7 @@ from ..bpf.errors import BPFError
 from ..bpf.maps import HashMap
 from ..concord.framework import Concord, ConcordEvent
 from ..concord.policy import PolicySpec
+from ..locks.base import LockError
 from .admission import (
     AdmissionController,
     AdmissionError,
@@ -239,15 +240,23 @@ class Concordd:
         adaptation loop judges its self-proposed culls under a tail +
         fairness composite regardless of the daemon's default)."""
         record = self.status(name)
-        result = self._rollout.run(
-            record,
-            guard if guard is not None else self.guard,
-            baseline_ns=baseline_ns if baseline_ns is not None else self.baseline_ns,
-            canary_ns=canary_ns if canary_ns is not None else self.canary_ns,
-            canary_fraction=self.canary_fraction,
-            check_every_ns=check_every_ns if check_every_ns is not None else self.check_every_ns,
-            canary_locks=canary_locks,
-        )
+        try:
+            result = self._rollout.run(
+                record,
+                guard if guard is not None else self.guard,
+                baseline_ns=baseline_ns if baseline_ns is not None else self.baseline_ns,
+                canary_ns=canary_ns if canary_ns is not None else self.canary_ns,
+                canary_fraction=self.canary_fraction,
+                check_every_ns=(
+                    check_every_ns if check_every_ns is not None else self.check_every_ns
+                ),
+                canary_locks=canary_locks,
+            )
+        except LockError as exc:
+            # A lock-layer refusal (say, a canary lock whose switch is
+            # still draining) reaches callers as the error they handle.
+            # A refused install has already resolved and audited the record.
+            raise ControlPlaneError(f"{name}: rollout failed ({exc})") from exc
         self._observe_baselines(result)
         return result
 

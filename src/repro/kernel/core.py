@@ -31,40 +31,26 @@ class Kernel:
         self.patcher = Patcher(self.engine, self.locks)
         self.shadow = ShadowStore()
         self._lock_ids = {}
-        self._impl_to_site = {}
 
     # ------------------------------------------------------------------
     def add_lock(self, name: str, impl: Lock) -> SwitchableLock:
         """Register an exclusive lock as a patchable call site."""
         site = SwitchableLock(self.engine, impl, name=name)
         self.locks.register(name, site)
-        self._track_site(site)
         return site
 
     def add_rwlock(self, name: str, impl: RWLock) -> SwitchableRWLock:
         """Register a readers-writer lock as a patchable call site."""
         site = SwitchableRWLock(self.engine, impl, name=name)
         self.locks.register(name, site)
-        self._track_site(site)
         return site
 
-    def _track_site(self, site) -> None:
-        """Keep impl -> site resolution current across livepatch switches,
-        so hook programs see the *site's* lock id no matter which
-        implementation currently backs it."""
-        self._impl_to_site[id(site.core.impl)] = site
-        site.core._on_switch.append(
-            lambda old, new, s=site: self._impl_to_site.__setitem__(id(new), s)
-        )
-
     def lock_id(self, lock: Lock) -> int:
-        """Stable small integer id for a lock (used as a BPF map key).
-
-        Implementations backing a registered call site resolve to the
-        site's id, so profiling survives implementation switches.
+        """Stable small integer id for a lock (used as a BPF map key),
+        handed out at first use.  Concord's hook programs ask for their
+        call site's id, so it survives implementation switches.
         """
-        canonical = self._impl_to_site.get(id(lock), lock)
-        key = id(canonical)
+        key = id(lock)
         if key not in self._lock_ids:
             self._lock_ids[key] = len(self._lock_ids) + 1
         return self._lock_ids[key]

@@ -6,15 +6,18 @@ patchable lock resolves through a :class:`~repro.locks.switchable`
 wrapper; this module provides the *patch objects* and the engine-side
 bookkeeping on top:
 
-* :class:`LivePatch` — a named set of operations (attach hooks to a
-  lock, switch a lock's implementation) applied and reverted atomically
-  per call site;
+* :class:`LivePatch` — a named set of implementation switches, applied
+  and reverted atomically per call site;
 * :class:`Patcher` — applies patches against a lock registry, tracks
   what is active, measures transition latency (request → engaged, i.e.
   the kpatch consistency-model drain), and supports rollback: the
-  :meth:`Patcher.revert` path restores the pre-patch hooks *and* the
-  pre-patch lock implementation through the same quiesced drain the
-  forward switch used (no waiter ever observes a half-reverted site).
+  :meth:`Patcher.revert` path restores the pre-patch lock
+  implementation through the same quiesced drain the forward switch
+  used (no waiter ever observes a half-reverted site).
+
+The patcher only swaps implementations.  Hook programs belong to the
+call site: Concord attaches them there, and the site carries them
+across every switch.
 
 Steady-state cost of a patched site is the trampoline charge inside the
 switchable wrapper; transition cost is the drain latency, both of which
@@ -26,9 +29,9 @@ from __future__ import annotations
 from typing import Callable, Dict, List, Optional
 
 from ..faults import fault_point
-from ..locks.base import HookSet, Lock, LockError
+from ..locks.base import Lock, LockError
 from ..locks.registry import LockRegistry
-from ..locks.switchable import SwitchableLock, SwitchableRWLock
+from ..locks.switchable import SwitchableLock
 
 __all__ = [
     "PatchOp",
@@ -50,30 +53,19 @@ class PatchError(LockError):
 
 
 class PatchOp:
-    """One operation inside a patch: hooks and/or an implementation swap."""
+    """One operation inside a patch: an implementation swap."""
 
-    __slots__ = ("lock_name", "hooks", "new_impl_factory")
+    __slots__ = ("lock_name", "new_impl_factory")
 
-    def __init__(
-        self,
-        lock_name: str,
-        hooks: Optional[HookSet] = None,
-        new_impl_factory: Optional[Callable[[Lock], Lock]] = None,
-    ) -> None:
+    def __init__(self, lock_name: str, new_impl_factory: Callable[[Lock], Lock]) -> None:
         self.lock_name = lock_name
-        self.hooks = hooks
         #: Called with the current implementation, returns the new one
         #: (factory style so a patch object can be built before the
         #: engine exists).
         self.new_impl_factory = new_impl_factory
 
     def __repr__(self) -> str:
-        kinds = []
-        if self.hooks is not None:
-            kinds.append(f"hooks[{len(self.hooks)}]")
-        if self.new_impl_factory is not None:
-            kinds.append("impl-switch")
-        return f"PatchOp({self.lock_name}, {'+'.join(kinds) or 'noop'})"
+        return f"PatchOp({self.lock_name}, impl-switch)"
 
 
 class LivePatch:
@@ -86,8 +78,6 @@ class LivePatch:
         self.reverted = False
         self.applied_at: Optional[int] = None
         self.reverted_at: Optional[int] = None
-        #: Saved state for revert: lock name -> old hooks
-        self._saved_hooks: Dict[str, Optional[HookSet]] = {}
         #: Saved state for revert: lock name -> pre-switch implementation
         self._saved_impls: Dict[str, Lock] = {}
 
@@ -116,10 +106,9 @@ class Patcher:
     ) -> None:
         """Apply a patch (klp_enable_patch).
 
-        Hook attachment is immediate (the trampoline flips on for
-        subsequent invocations).  Implementation switches use drain
-        semantics inside the switchable wrapper: the swap engages once
-        in-flight critical sections on the old implementation complete;
+        Implementation switches use drain semantics inside the call
+        site: the swap engages once in-flight critical sections on the
+        old implementation complete;
         :attr:`SwitchableLock.core.last_switch_latency` reports the
         drain time afterwards.
 
@@ -142,20 +131,15 @@ class Patcher:
         sites = []
         for op in patch.ops:
             site = self.registry.get(op.lock_name)
-            if not isinstance(site, (SwitchableLock, SwitchableRWLock)):
+            if not isinstance(site, SwitchableLock):
                 raise PatchError(
                     f"lock {op.lock_name!r} is not a patchable call site "
                     f"(wrap it in SwitchableLock to annotate it)"
                 )
             sites.append(site)
         for op, site in zip(patch.ops, sites):
-            if op.hooks is not None:
-                patch._saved_hooks[op.lock_name] = site.core.impl.hooks
-                site.attach_hooks(op.hooks)
-            if op.new_impl_factory is not None:
-                patch._saved_impls[op.lock_name] = site.core.impl
-                new_impl = op.new_impl_factory(site.core.impl)
-                site.request_switch(new_impl)
+            patch._saved_impls[op.lock_name] = site.core.impl
+            site.request_switch(op.new_impl_factory(site.core.impl))
         patch.applied = True
         patch.applied_at = self.engine.now
         self.active[patch.name] = patch
@@ -168,7 +152,7 @@ class Patcher:
     def _await_quiesce(
         self,
         patch: LivePatch,
-        sites,
+        pending,
         deadline_ns: int,
         max_retries: int,
         backoff_ns: int,
@@ -178,11 +162,6 @@ class Patcher:
         Bounded: ``max_retries`` deadline extensions with exponential
         backoff, then revert + :class:`PatchError`.
         """
-        pending = [
-            site
-            for op, site in zip(patch.ops, sites)
-            if op.new_impl_factory is not None
-        ]
         deadline = self.engine.now + deadline_ns
         attempt = 0
         while any(site.core.pending_impl is not None for site in pending):
@@ -215,31 +194,14 @@ class Patcher:
                 continue
             self.engine.run(until=deadline)
 
-    def disable(self, patch_name: str) -> None:
-        """Revert a patch's hook attachments (klp_disable_patch).
-
-        Implementation switches are not automatically un-swapped (the
-        kernel would need a counter-patch); issue a new patch with the
-        previous implementation to swap back.
-        """
-        patch = self.active.pop(patch_name, None)
-        if patch is None:
-            raise PatchError(f"patch {patch_name!r} is not enabled")
-        for op in patch.ops:
-            if op.hooks is not None:
-                site = self.registry.get(op.lock_name)
-                site.attach_hooks(patch._saved_hooks.get(op.lock_name))
-        self.history.append(f"{self.engine.now}: disabled {patch_name}")
-
     def revert(self, patch_name: str) -> LivePatch:
-        """Fully roll a patch back: hooks *and* implementation switches.
+        """Roll a patch back (klp_disable_patch).
 
-        Unlike :meth:`disable`, implementation switches are counter-
-        patched to the implementation the site ran before :meth:`enable`,
-        with quiescence: if the forward drain is still in flight the
-        pending implementation is redirected (no waiter ever lands on
-        the abandoned implementation); otherwise a fresh drain is
-        requested.  Lock state never spans two implementations in either
+        Each switch is counter-patched to the implementation the site
+        ran before :meth:`enable`, with quiescence: if the forward drain
+        is still in flight the pending implementation is redirected (no
+        waiter ever lands on the abandoned implementation); otherwise a
+        fresh drain is requested.  Lock state never spans two implementations in either
         direction — the consistency argument is the forward one, run in
         reverse.
         """
@@ -248,19 +210,16 @@ class Patcher:
             raise PatchError(f"patch {patch_name!r} is not enabled")
         for op in patch.ops:
             site = self.registry.get(op.lock_name)
-            if op.hooks is not None:
-                site.attach_hooks(patch._saved_hooks.get(op.lock_name))
-            if op.new_impl_factory is not None:
-                saved = patch._saved_impls[op.lock_name]
-                if site.core.pending_impl is not None:
-                    # Forward drain still in flight: redirect it so the
-                    # site quiesces straight back to the saved impl, and
-                    # drop any injected stall so the gate cannot stay
-                    # closed on a switch nobody wants anymore.
-                    site.core.pending_impl = saved
-                    site.core.cancel_stall()
-                else:
-                    site.request_switch(saved)
+            saved = patch._saved_impls[op.lock_name]
+            if site.core.pending_impl is not None:
+                # Forward drain still in flight: redirect it so the
+                # site quiesces straight back to the saved impl, and
+                # drop any injected stall so the gate cannot stay
+                # closed on a switch nobody wants anymore.
+                site.core.pending_impl = saved
+                site.core.cancel_stall()
+            else:
+                site.request_switch(saved)
         patch.reverted = True
         patch.reverted_at = self.engine.now
         self.history.append(f"{self.engine.now}: reverted {patch_name}")
@@ -280,17 +239,8 @@ class Patcher:
         self.enable(patch, **drain_kwargs)
         return patch
 
-    def attach_hooks(self, lock_name: str, hooks: HookSet) -> LivePatch:
-        """Convenience: one-op patch attaching a hook set to a lock."""
-        patch = LivePatch(
-            f"hooks:{lock_name}@{self.engine.now}",
-            [PatchOp(lock_name, hooks=hooks)],
-        )
-        self.enable(patch)
-        return patch
-
     def switch_latency(self, lock_name: str) -> Optional[int]:
         site = self.registry.get(lock_name)
-        if isinstance(site, (SwitchableLock, SwitchableRWLock)):
+        if isinstance(site, SwitchableLock):
             return site.core.last_switch_latency
         return None

@@ -3,9 +3,11 @@
 In the paper, Concord "uses the livepatch module to replace the
 annotated functions for the specified locks".  The simulated equivalent:
 every patchable lock call site resolves through a :class:`SwitchableLock`
-(or :class:`SwitchableRWLock`), which
+(:class:`SwitchableRWLock` adds only a read side), which
 
 * forwards to the *current implementation*,
+* owns the attached hook programs and carries them across every
+  implementation switch,
 * charges a trampoline cost per entry once the site has been patched
   (the ftrace/livepatch redirection a patched kernel function pays —
   this is the machinery behind the worst-case ~20 % of Figure 2c), and
@@ -21,7 +23,7 @@ the ablation suite.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterator, List, Optional
+from typing import Dict, Iterator, Optional
 
 from ..faults import fault_point
 from ..sim.ops import Delay, Load, WaitValue
@@ -48,7 +50,7 @@ def _gate_open(value) -> bool:
 
 
 class _SwitchCore:
-    """State shared by the exclusive and rw switchable wrappers."""
+    """A call site's current implementation, its gate and its drain."""
 
     def __init__(self, engine, name: str, impl) -> None:
         self.engine = engine
@@ -67,7 +69,6 @@ class _SwitchCore:
         self.switch_count = 0
         #: When set, the drain is stalled (injected) until this time.
         self.stall_until: Optional[int] = None
-        self._on_switch: List[Callable] = []
 
     def request_switch(self, new_impl) -> None:
         if self.pending_impl is not None:
@@ -92,15 +93,16 @@ class _SwitchCore:
             self.stall_until = self.engine.now + stall_ns
             self.engine.call_after(stall_ns, self.maybe_complete)
             return
-        old = self.impl
-        self.impl = self.pending_impl
+        new = self.pending_impl
+        # The attached programs belong to the site: they follow it onto
+        # the new implementation.
+        new.hooks = self.impl.hooks
+        self.impl = new
         self.pending_impl = None
         self.switch_engaged_at = self.engine.now
         self.switch_count += 1
         self.patched = True
         self.engine.external_store(self.gate, 0)
-        for callback in self._on_switch:
-            callback(old, self.impl)
 
     def cancel_stall(self) -> None:
         """Drop an injected drain stall and retry completion now.
@@ -128,7 +130,8 @@ class _SwitchCore:
 
 
 class SwitchableLock(Lock):
-    """A patchable exclusive-lock call site."""
+    """A patchable lock call site: the current implementation, the hook
+    programs attached to it, and the drain that switches it."""
 
     kind = "switchable"
 
@@ -151,7 +154,11 @@ class SwitchableLock(Lock):
             self.core.trampoline_ns = trampoline_ns
 
     def attach_hooks(self, hooks: Optional[HookSet]) -> None:
-        """Attach Concord hook programs to the *current* implementation."""
+        """Attach hook programs to the site (``None`` detaches them).
+
+        They live on the current implementation and follow the site
+        across every implementation switch.
+        """
         self.core.impl.hooks = hooks
         self.core.patched = hooks is not None or self.core.switch_count > 0
 
@@ -200,7 +207,14 @@ class SwitchableLock(Lock):
             yield Delay(core.trampoline_ns)
         core.inflight += 1
         impl = core.impl
-        ok = yield from impl.try_acquire(task)
+        try:
+            ok = yield from impl.try_acquire(task)
+        except NotImplementedError:
+            # An implementation without a trylock refuses before taking
+            # anything; give the drain slot back, or a pending switch
+            # would never engage.
+            core.leave()
+            raise
         if ok:
             self._acquired_impl[task.tid] = impl
         else:
@@ -216,34 +230,24 @@ class SwitchableLock(Lock):
         return self.core.impl.owner
 
 
-class SwitchableRWLock(RWLock):
-    """A patchable readers-writer lock call site."""
+class SwitchableRWLock(SwitchableLock):
+    """A patchable readers-writer lock call site.
+
+    An :class:`RWLock`'s ``acquire``/``release`` are its write side, so
+    writers take the exclusive path above; only the read side is this
+    site's own.  Readers fire no ``lock_contended`` hook.
+    """
 
     kind = "switchable-rw"
+    is_rw = True
 
     def __init__(self, engine, impl: RWLock, name: str = "") -> None:
-        super().__init__(engine, name or f"switchable.{impl.name}")
-        self.core = _SwitchCore(engine, self.name, impl)
+        super().__init__(engine, impl, name)
         self._read_impl: Dict[int, RWLock] = {}
-        self._write_impl: Dict[int, RWLock] = {}
 
-    @property
-    def impl(self) -> RWLock:
-        return self.core.impl
+    write_acquire = SwitchableLock.acquire
+    write_release = SwitchableLock.release
 
-    def request_switch(self, new_impl: RWLock) -> None:
-        self.core.request_switch(new_impl)
-
-    def set_patched(self, patched: bool = True, trampoline_ns: Optional[int] = None) -> None:
-        self.core.patched = patched
-        if trampoline_ns is not None:
-            self.core.trampoline_ns = trampoline_ns
-
-    def attach_hooks(self, hooks: Optional[HookSet]) -> None:
-        self.core.impl.hooks = hooks
-        self.core.patched = hooks is not None or self.core.switch_count > 0
-
-    # -- read side -------------------------------------------------------
     def read_acquire(self, task: Task) -> Iterator:
         core = self.core
         if (yield core.load_gate):
@@ -271,47 +275,6 @@ class SwitchableRWLock(RWLock):
             yield Delay(impl._fire(task, HOOK_LOCK_RELEASE, {})[1])
         yield from impl.read_release(task)
         core.leave()
-
-    # -- write side ------------------------------------------------------
-    def write_acquire(self, task: Task) -> Iterator:
-        core = self.core
-        if (yield core.load_gate):
-            yield core.wait_gate_open
-        if core.patched and core.trampoline_ns:
-            yield Delay(core.trampoline_ns)
-        core.inflight += 1
-        impl = core.impl
-        self._write_impl[task.tid] = impl
-        hooks = impl.hooks
-        if hooks is not None and HOOK_LOCK_ACQUIRE in hooks.programs:
-            yield Delay(impl._fire(task, HOOK_LOCK_ACQUIRE, {})[1])
-        yield from impl.write_acquire(task)
-        if impl.last_acquire_contended:
-            hooks = impl.hooks
-            if hooks is not None and HOOK_LOCK_CONTENDED in hooks.programs:
-                yield Delay(impl._fire(task, HOOK_LOCK_CONTENDED, {})[1])
-        hooks = impl.hooks
-        if hooks is not None and HOOK_LOCK_ACQUIRED in hooks.programs:
-            yield Delay(impl._fire(task, HOOK_LOCK_ACQUIRED, {})[1])
-
-    def write_release(self, task: Task) -> Iterator:
-        impl = self._write_impl.pop(task.tid)
-        core = self.core
-        if core.patched and core.trampoline_ns:
-            yield Delay(core.trampoline_ns)
-        hooks = impl.hooks
-        if hooks is not None and HOOK_LOCK_RELEASE in hooks.programs:
-            yield Delay(impl._fire(task, HOOK_LOCK_RELEASE, {})[1])
-        yield from impl.write_release(task)
-        core.leave()
-
-    @property
-    def locked(self) -> bool:
-        return self.core.impl.locked
-
-    @property
-    def owner(self):
-        return self.core.impl.owner
 
     @property
     def reader_count(self) -> int:

@@ -220,12 +220,30 @@ class TestLockControl:
         assert site.core.impl.hooks is not None
         assert HOOK_CMP_NODE in site.core.impl.hooks
 
+    def test_lock_without_call_site_refused(self, concord, kernel):
+        """Concord reaches a lock only through its call site: a lock
+        registered bare is refused before any chain or pin is touched."""
+        kernel.locks.register("raw.lock", MCSLock(kernel.engine))
+        with pytest.raises(BPFError, match="not a patchable call site"):
+            concord.load_policy(make_numa_policy(lock_selector="raw.lock"))
+        assert not concord.policies and len(concord.bpffs) == 0
+        loaded = concord.load_policy(make_numa_policy(lock_selector="a.lock"))
+        with pytest.raises(BPFError, match="not a patchable call site"):
+            concord.attach_policy(loaded.name, ["raw.lock"])
+        assert loaded.attached_locks == ["a.lock"]
+        assert concord.chain("raw.lock", HOOK_CMP_NODE) == ()
+        assert kernel.locks.get("raw.lock").hooks is None
+        with pytest.raises(BPFError, match="not a patchable call site"):
+            concord.set_lock_param("raw.lock", "spin_budget_ns", 1)
+
     def test_describe(self, concord):
-        concord.load_policy(make_numa_policy(lock_selector="a.lock"))
+        loaded = concord.load_policy(make_numa_policy(lock_selector="a.lock"))
         info = concord.describe()
         assert "numa-aware" in info["policies"]
         assert info["pinned"]
         assert "a.lock" in info["patched_locks"]
+        concord.unload_policy(loaded.name)
+        assert concord.describe()["patched_locks"] == []
 
 
 class TestCombiners:

@@ -155,6 +155,41 @@ class TestRollbackUnderContention:
         kernel.run()
 
 
+class TestCanaryMeetsDrainingSwitch:
+    def test_rollout_raises_a_control_plane_error(self, world):
+        """A canary install that meets a switch still draining on a
+        canary lock resolves ROLLED_BACK, and rollout reports it as a
+        ControlPlaneError chained from the lock layer's refusal."""
+        from repro.controlplane import ControlPlaneError
+        from repro.faults import FaultPlan, injected
+        from repro.locks import LockError, MCSLock
+
+        kernel, concord, daemon = world
+        client = PolicyClient.connect(daemon, "ops")
+        plan = FaultPlan()
+        plan.stall("livepatch.drain", delay_ns=10_000_000, times=1)
+        with injected(plan):
+            concord.switch_lock("svc.shard0.lock", lambda old: MCSLock(kernel.engine))
+        stalled = kernel.locks.get("svc.shard0.lock").core.pending_impl
+        client.submit(
+            PolicySubmission(impl_factory=molasses, name="molasses", lock_selector=SELECTOR)
+        )
+        with pytest.raises(ControlPlaneError, match="switch is already in progress") as info:
+            client.rollout("molasses", baseline_ns=20_000, canary_ns=40_000)
+        assert isinstance(info.value.__cause__, LockError)
+        assert daemon.status("molasses").state is PolicyState.ROLLED_BACK
+        cause = daemon.audit.for_policy("molasses")[-1].cause
+        assert cause.startswith(
+            "canary install failed (a lock switch is already in progress)"
+        )
+        # Nothing of the refused canary stayed behind; the stalled switch
+        # is still the only one pending.
+        assert len(kernel.patcher.active) == 1
+        for name in kernel.locks.select_names(SELECTOR):
+            assert not isinstance(kernel.locks.get(name).core.impl, MolassesMutex)
+        assert kernel.locks.get("svc.shard0.lock").core.pending_impl is stalled
+
+
 class TestPromotion:
     def test_good_policy_goes_active_fleet_wide(self, world):
         kernel, concord, daemon = world

@@ -140,6 +140,71 @@ def test_quorum_mode_tolerates_minority_breach():
     assert record.state is PolicyState.ROLLED_BACK
 
 
+def test_stalled_switch_on_a_canary_lock_halts_and_reverts_the_fleet():
+    """A member whose canary lock still drains an earlier switch refuses
+    the impl-switch install.  That kernel's outcome is an ERROR, the
+    plan halts, and every kernel patched so far goes back to stock."""
+    from repro.controlplane import PolicySubmission
+    from repro.faults import FaultPlan, injected
+    from repro.locks import ShflLock, SpinParkMutex
+
+    # No more workers than CPUs, so every revert drain completes.
+    fleet = FleetManager()
+    add_member(fleet, "k0", locks=2, seed=11, tasks_per_lock=1)
+    add_member(fleet, "k1", locks=3, seed=12, tasks_per_lock=2)
+    add_member(fleet, "k2", locks=3, seed=13, tasks_per_lock=2)
+    plan = RolloutPlanner(
+        max_concurrent_kernels=2, canary_kernels=1, bake_ns=0
+    ).plan("spin-park", learn(fleet))
+    first, second = plan.waves[0].kernels[0], plan.waves[1].kernels[0]
+    stock = {
+        member.name: {
+            lock: member.kernel.locks.get(lock).core.impl
+            for lock in member.kernel.locks.names()
+        }
+        for member in fleet.members()
+    }
+    victim = fleet.member(second)
+    stalled_lock = plan.canary_locks[second][0]
+    stall = FaultPlan()
+    stall.stall("livepatch.drain", delay_ns=1_000_000_000, times=1)
+    with injected(stall):
+        victim.concord.switch_lock(
+            stalled_lock, lambda old: ShflLock(victim.kernel.engine, name="next")
+        )
+        # The drain stalls once the lock's current holders have left.
+        victim.kernel.run(until=victim.kernel.now + 20_000)
+    assert stall.fired["livepatch.drain"] == 1
+
+    def spin_park(member):
+        return PolicySubmission(
+            impl_factory=lambda old: SpinParkMutex(old.engine, name=f"sp.{old.name}"),
+            name="spin-park",
+            lock_selector="svc.*.lock",
+        )
+
+    journal = PolicyJournal()
+    coord = FleetCoordinator(fleet, journal=journal)
+    rollout = coord.execute(plan, spin_park, **ROLLOUT_KWARGS)
+
+    assert rollout.state is FleetRolloutState.HALTED
+    entries = [e for e in journal.entries() if e.get("kind") == "fleet"]
+    assert "halt" in [e["event"] for e in entries]
+    done = {e["kernel"]: e["state"] for e in entries if e["event"] == "kernel-done"}
+    # The first wave was live before the second wave's refusal halted it.
+    assert done[first] == "ACTIVE"
+    assert done[second].startswith("ERROR: ")
+    assert "a lock switch is already in progress" in done[second]
+    assert rollout.outcomes[second] == done[second]
+    assert fleet_stock(fleet, "spin-park")
+    for member in fleet.members():
+        member.kernel.run(until=member.kernel.now + 200_000)
+        for lock, impl in stock[member.name].items():
+            if member is victim and lock == stalled_lock:
+                continue
+            assert member.kernel.locks.get(lock).core.impl is impl, (member.name, lock)
+
+
 def test_verdict_math():
     v = FleetVerdict("any-breach", 1.0, passed=["a", "b"], breached=[])
     assert v.ok

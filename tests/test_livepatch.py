@@ -5,7 +5,6 @@ import pytest
 from repro.kernel import Kernel
 from repro.livepatch import LivePatch, PatchError, PatchOp, Patcher, ShadowStore
 from repro.locks import MCSLock, ShflLock, TicketLock
-from repro.locks.base import HOOK_CMP_NODE, HookSet
 from repro.sim import Topology, ops
 
 
@@ -17,24 +16,6 @@ def kernel():
 
 
 class TestPatcher:
-    def test_attach_hooks_patch(self, kernel):
-        hooks = HookSet()
-        hooks.attach(HOOK_CMP_NODE, lambda env: (1, 5))
-        patch = kernel.patcher.attach_hooks("a.lock", hooks)
-        assert patch.applied
-        site = kernel.locks.get("a.lock")
-        assert site.core.impl.hooks is hooks
-        assert kernel.patcher.history
-
-    def test_disable_restores_previous_hooks(self, kernel):
-        site = kernel.locks.get("a.lock")
-        first = HookSet()
-        site.attach_hooks(first)
-        hooks = HookSet()
-        patch = kernel.patcher.attach_hooks("a.lock", hooks)
-        kernel.patcher.disable(patch.name)
-        assert site.core.impl.hooks is first
-
     def test_switch_patch(self, kernel):
         kernel.patcher.switch_lock(
             "a.lock", lambda old: MCSLock(kernel.engine, name="new")
@@ -45,31 +26,39 @@ class TestPatcher:
     def test_patch_on_unpatchable_lock_rejected(self, kernel):
         kernel.locks.register("raw.lock", MCSLock(kernel.engine))
         with pytest.raises(PatchError, match="not a patchable"):
-            kernel.patcher.attach_hooks("raw.lock", HookSet())
+            kernel.patcher.switch_lock("raw.lock", lambda old: MCSLock(kernel.engine))
+        assert not kernel.patcher.active
 
     def test_double_enable_rejected(self, kernel):
-        patch = LivePatch("p", [PatchOp("a.lock", hooks=HookSet())])
+        patch = LivePatch(
+            "p", [PatchOp("a.lock", new_impl_factory=lambda old: MCSLock(kernel.engine))]
+        )
         kernel.patcher.enable(patch)
         with pytest.raises(PatchError):
             kernel.patcher.enable(patch)
 
     def test_disable_unknown_rejected(self, kernel):
-        with pytest.raises(PatchError):
-            kernel.patcher.disable("ghost")
+        """Disabling (reverting) a patch that is not enabled is refused."""
+        with pytest.raises(PatchError, match="is not enabled"):
+            kernel.patcher.revert("ghost")
 
     def test_multi_op_patch(self, kernel):
         kernel.add_lock("b.lock", ShflLock(kernel.engine, name="b"))
-        hooks = HookSet()
+        a_impl = kernel.locks.get("a.lock").core.impl
+        b_impl = kernel.locks.get("b.lock").core.impl
         patch = LivePatch(
             "combo",
             [
-                PatchOp("a.lock", hooks=hooks),
+                PatchOp("a.lock", new_impl_factory=lambda old: MCSLock(kernel.engine)),
                 PatchOp("b.lock", new_impl_factory=lambda old: TicketLock(kernel.engine)),
             ],
         )
         kernel.patcher.enable(patch)
-        assert kernel.locks.get("a.lock").core.impl.hooks is hooks
+        assert isinstance(kernel.locks.get("a.lock").core.impl, MCSLock)
         assert isinstance(kernel.locks.get("b.lock").core.impl, TicketLock)
+        kernel.patcher.revert("combo")
+        assert kernel.locks.get("a.lock").core.impl is a_impl
+        assert kernel.locks.get("b.lock").core.impl is b_impl
 
     def test_patch_under_load_preserves_correctness(self, kernel):
         site = kernel.locks.get("a.lock")

@@ -65,7 +65,7 @@ from ..faults.registry import (
 )
 from ..locks.culling import CullingLock
 from .guards import AllOf, FairnessGuard, Guard, TailWaitGuard, pool_reports
-from .journal import JournalError
+from .journal import append_best_effort
 from .lifecycle import ControlPlaneError, PolicyState, PolicySubmission
 
 __all__ = [
@@ -271,6 +271,12 @@ class AdaptationLoop:
       and proposals roll out through ``coordinator.execute`` as a
       single-wave canary plan.
 
+    Both modes walk one list of daemons (:meth:`_daemons`: ``[daemon]``,
+    or the active members' daemons) to run time forward, profile,
+    drain switches and roll back; a single-kernel window is the pooled
+    window of one.  Only the journal, baseline feeding and the canary
+    itself fork on the mode.
+
     Fault points: ``adaptive.detect`` fires at the top of every pass (a
     fail skips the pass; a stall runs the kernel forward), and
     ``adaptive.propose`` fires after ``cull-proposed`` is journaled but
@@ -318,7 +324,6 @@ class AdaptationLoop:
         #: on top of an installed cull would thrash).
         self._governed: Dict[str, str] = {}
         self.history: List[AdaptationDecision] = []
-        self._registered = False
 
     # ------------------------------------------------------------------
     # Mode plumbing
@@ -329,43 +334,25 @@ class AdaptationLoop:
             return self.daemon.journal
         return self.coordinator.journal
 
-    def _kernels(self):
+    def _daemons(self) -> List:
         if self.daemon is not None:
-            return [self.daemon.kernel]
-        return [
-            member.kernel for member in self.coordinator.fleet.active_members()
-        ]
+            return [self.daemon]
+        return [member.daemon for member in self.coordinator.fleet.active_members()]
 
     def _advance(self, delta_ns: int) -> None:
-        for kernel in self._kernels():
-            kernel.run(until=kernel.now + delta_ns)
-
-    def _now(self) -> int:
-        kernels = self._kernels()
-        return max(k.now for k in kernels) if kernels else 0
+        for daemon in self._daemons():
+            daemon.kernel.run(until=daemon.kernel.now + delta_ns)
 
     def _journal_event(self, event: str, **fields) -> None:
-        journal = self.journal
-        if journal is None:
-            return
-        entry = {"kind": "adaptation", "ts": self._now(), "event": event}
-        entry.update(fields)
-        try:
-            journal.append(entry)
-        except JournalError:
-            pass  # history lost, correctness carried by daemon recovery
+        now = max((daemon.kernel.now for daemon in self._daemons()), default=0)
+        append_best_effort(
+            self.journal, {"kind": "adaptation", "ts": now, "event": event, **fields}
+        )
 
     def observe_window(self) -> ProfileReport:
-        """Profile one ``window_ns`` of simulated time (pooled in fleet
-        mode)."""
-        if self.daemon is not None:
-            session = ProfileSession(self.daemon.concord, self.selector)
-            kernel = self.daemon.kernel
-            kernel.run(until=kernel.now + self.window_ns)
-            return session.stop()
-        sessions = []
-        for member in self.coordinator.fleet.active_members():
-            sessions.append(ProfileSession(member.concord, self.selector))
+        """Profile one ``window_ns`` of simulated time, pooled over the
+        daemons' kernels."""
+        sessions = [ProfileSession(d.concord, self.selector) for d in self._daemons()]
         self._advance(self.window_ns)
         return pool_reports(session.stop() for session in sessions)
 
@@ -447,20 +434,18 @@ class AdaptationLoop:
             self._journal_event("cull-rolled-back", policy=policy, cause=cause)
             return AdaptationDecision("propose-failed", signal, policy, cause)
         promoted, cause = self._canary(policy, signal, cap)
-        if not promoted:
-            self._drain_switches(signal.lock_name)
-            self._journal_event("cull-rolled-back", policy=policy, cause=cause)
-            return AdaptationDecision("rolled-back", signal, policy, cause)
-        kept, verdict, post = self._judge_clearance(signal)
-        if kept:
-            self._governed[signal.lock_name] = policy
-            self.detector.forget(signal.lock_name)
-            self._journal_event("cull-kept", policy=policy, cause=verdict, **post)
-            return AdaptationDecision("kept", signal, policy, verdict)
-        self._force_rollback(policy, verdict)
+        post: Dict[str, float] = {}
+        if promoted:
+            kept, cause, post = self._judge_clearance(signal)
+            if kept:
+                self._governed[signal.lock_name] = policy
+                self.detector.forget(signal.lock_name)
+                self._journal_event("cull-kept", policy=policy, cause=cause, **post)
+                return AdaptationDecision("kept", signal, policy, cause)
+            self._force_rollback(policy, cause)
         self._drain_switches(signal.lock_name)
-        self._journal_event("cull-rolled-back", policy=policy, cause=verdict, **post)
-        return AdaptationDecision("rolled-back", signal, policy, verdict)
+        self._journal_event("cull-rolled-back", policy=policy, cause=cause, **post)
+        return AdaptationDecision("rolled-back", signal, policy, cause)
 
     # ------------------------------------------------------------------
     # Canary plumbing
@@ -481,12 +466,9 @@ class AdaptationLoop:
 
     def _canary_single(self, policy: str, signal: CollapseSignal, cap: int):
         daemon = self.daemon
-        if not self._registered:
-            try:
-                daemon.register_client(self.client_id)
-            except ControlPlaneError:
-                pass  # journal replay already restored our registration
-            self._registered = True
+        # Journal replay may have restored the registration already.
+        if self.client_id not in daemon.admission.clients():
+            daemon.register_client(self.client_id)
         # Recovery re-attaches by impl name: the factory must outlive us.
         daemon.impl_registry[f"culling-cap{cap}"] = culling_impl_factory(cap)
         try:
@@ -585,7 +567,8 @@ class AdaptationLoop:
         must not leave the culled impl installed, so the loop drives
         the drain itself (bounded, in case the site never quiesces).
         """
-        for kernel in self._kernels():
+        for daemon in self._daemons():
+            kernel = daemon.kernel
             site = kernel.locks.get(lock_name)
             if site is None:
                 continue
@@ -595,17 +578,13 @@ class AdaptationLoop:
                 kernel.run(until=kernel.now + max(1, self.check_every_ns))
 
     def _force_rollback(self, policy: str, cause: str) -> None:
-        if self.daemon is not None:
-            try:
-                self.daemon.force_rollback(policy, cause)
-            except ControlPlaneError:
-                pass
-            return
-        for member in self.coordinator.fleet.active_members():
-            record = member.daemon.records.get(policy)
-            if record is not None and record.state is PolicyState.ACTIVE:
+        """Roll a promoted cull back wherever it is still ACTIVE (it runs
+        after a promoted canary, so every record is ACTIVE or already
+        terminal)."""
+        for daemon in self._daemons():
+            if self._active_on(daemon, policy):
                 try:
-                    member.daemon.force_rollback(policy, cause)
+                    daemon.force_rollback(policy, cause)
                 except ControlPlaneError:
                     pass
 
@@ -662,7 +641,7 @@ class AdaptationLoop:
             if entry.get("event") != "cull-proposed":
                 continue
             resolved += 1
-            if self._is_active(policy):
+            if any(self._active_on(daemon, policy) for daemon in self._daemons()):
                 self._governed[entry["lock"]] = policy
                 self._journal_event(
                     "cull-kept",
@@ -686,12 +665,7 @@ class AdaptationLoop:
         except (IndexError, ValueError):
             return 0
 
-    def _is_active(self, policy: str) -> bool:
-        if self.daemon is not None:
-            record = self.daemon.records.get(policy)
-            return record is not None and record.state is PolicyState.ACTIVE
-        return any(
-            member.daemon.records.get(policy) is not None
-            and member.daemon.records[policy].state is PolicyState.ACTIVE
-            for member in self.coordinator.fleet.active_members()
-        )
+    @staticmethod
+    def _active_on(daemon, policy: str) -> bool:
+        record = daemon.records.get(policy)
+        return record is not None and record.state is PolicyState.ACTIVE

@@ -28,6 +28,7 @@ from ..bpf.maps import HashMap
 from ..concord.framework import Concord, ConcordEvent
 from ..concord.policy import PolicySpec
 from ..locks.base import LockError
+from ..netsim import retry
 from .admission import (
     AdmissionController,
     AdmissionError,
@@ -179,10 +180,7 @@ class Concordd:
                 self.concord, self.records.values(), record
             )
         except AdmissionError as exc:
-            record.error = str(exc)
-            record.transition(
-                PolicyState.REJECTED, f"admission denied: {exc}", self.audit, self.kernel.now
-            )
+            self._reject(record, str(exc), f"admission denied: {exc}")
             raise
         if submission.specs:
             checks = []
@@ -195,13 +193,7 @@ class Concordd:
                     )
                     record.pinned_bytes += len(program) * 8
             except BPFError as exc:
-                record.error = str(exc)
-                record.transition(
-                    PolicyState.REJECTED,
-                    f"verifier rejected: {exc}",
-                    self.audit,
-                    self.kernel.now,
-                )
+                self._reject(record, str(exc), f"verifier rejected: {exc}")
                 raise
             cause = f"verifier accepted {len(checks)} program(s): " + "; ".join(checks)
         else:
@@ -211,16 +203,15 @@ class Concordd:
             # gate between verification and VERIFIED.
             self.admission.charge(self.records.values(), record)
         except AdmissionError as exc:
-            record.error = str(exc)
-            record.transition(
-                PolicyState.REJECTED,
-                f"budget denied: {exc}",
-                self.audit,
-                self.kernel.now,
-            )
+            self._reject(record, str(exc), f"budget denied: {exc}")
             raise
         record.transition(PolicyState.VERIFIED, cause, self.audit, self.kernel.now)
         return record
+
+    def _reject(self, record: PolicyRecord, error: str, cause: str) -> None:
+        """Move ``record`` to REJECTED now, keeping ``error`` on it."""
+        record.error = error
+        record.transition(PolicyState.REJECTED, cause, self.audit, self.kernel.now)
 
     def rollout(
         self,
@@ -268,14 +259,9 @@ class Concordd:
         statistics describe the regime we just refused to keep.  Each
         journal entry carries the *full* state, so replay (and
         compaction) can keep only the newest one."""
-        if self.baselines is None:
-            return
-        reports = [record.baseline_report]
+        self.observe_report(record.baseline_report)
         if record.state is PolicyState.ACTIVE:
-            reports.append(record.canary_report)
-        for report in reports:
-            if report is not None:
-                self.observe_report(report)
+            self.observe_report(record.canary_report)
 
     def observe_report(self, report) -> int:
         """Feed one trusted profiler window into the learned baselines
@@ -305,14 +291,7 @@ class Concordd:
             )
         if record.terminal:
             raise LifecycleError(f"{name}: already terminal ({record.state})")
-        if record.state in (PolicyState.CANARY, PolicyState.ACTIVE):
-            self._rollout.rollback(record)
-        record.transition(
-            PolicyState.RETIRED,
-            f"withdrawn by {client_id!r}",
-            self.audit,
-            self.kernel.now,
-        )
+        self._take_down(record, PolicyState.RETIRED, f"withdrawn by {client_id!r}")
         return record
 
     # ------------------------------------------------------------------
@@ -352,29 +331,30 @@ class Concordd:
         for record in self._owners_of(event):
             if record.state is None:
                 continue
-            self.audit.append(
-                AuditRecord(
-                    event.time_ns,
-                    record.name,
-                    record.client_id,
-                    record.state,
-                    record.state,
-                    f"concord {event.kind}: {event.message}",
-                    "event",
-                )
-            )
+            self._note(record, event.time_ns, f"concord {event.kind}: {event.message}")
             if event.kind == "breaker-tripped" and record.state in (
                 PolicyState.CANARY,
                 PolicyState.ACTIVE,
             ):
-                self._auto_rollback(record, f"fail-open: {event.message}")
+                self._take_down(record, PolicyState.ROLLED_BACK, f"fail-open: {event.message}")
 
-    def _auto_rollback(self, record: PolicyRecord, cause: str) -> None:
-        """Tear a live policy down without a client asking (circuit
-        breaker, recovery).  ROLLED_BACK is not a live state, so the
-        client's admission quota slot is released by the transition."""
-        self._rollout.rollback(record)
-        record.transition(PolicyState.ROLLED_BACK, cause, self.audit, self.kernel.now)
+    def _note(self, record: PolicyRecord, time_ns: int, cause: str) -> None:
+        """Audit an annotation on ``record``: ``kind="event"``, the
+        state unchanged (a framework event or a recovery finding)."""
+        state = record.state
+        self.audit.append(
+            AuditRecord(time_ns, record.name, record.client_id, state, state, cause, "event")
+        )
+
+    def _take_down(self, record: PolicyRecord, state: PolicyState, cause: str) -> None:
+        """End a live record: tear down whatever it has installed
+        (CANARY/ACTIVE), then move it to ``state`` — RETIRED for a
+        client's withdrawal, ROLLED_BACK when nobody asked (circuit
+        breaker, operator).  Neither is a live state, so the client's
+        admission quota slot is released by the transition."""
+        if record.state in (PolicyState.CANARY, PolicyState.ACTIVE):
+            self._rollout.rollback(record)
+        record.transition(state, cause, self.audit, self.kernel.now)
 
     def force_rollback(self, name: str, cause: str) -> PolicyRecord:
         """Operator-initiated rollback of an installed policy.
@@ -389,7 +369,7 @@ class Concordd:
             raise LifecycleError(
                 f"{name}: force_rollback needs CANARY or ACTIVE, record is {record.state}"
             )
-        self._auto_rollback(record, cause)
+        self._take_down(record, PolicyState.ROLLED_BACK, cause)
         return record
 
     def detach(self) -> None:
@@ -454,19 +434,8 @@ class Concordd:
                 [patch.name, [op.lock_name for op in patch.ops]]
                 for patch in record.patches
             ]
-            verdict = record.verdict
-            if verdict is not None and getattr(verdict, "attributed", None):
-                entry["breaches"] = [
-                    {
-                        "lock": b.lock_name,
-                        "metric": b.metric,
-                        "baseline": b.baseline,
-                        "observed": b.observed,
-                        "budget": b.budget,
-                        "kernels": list(b.kernels),
-                    }
-                    for b in verdict.attributed
-                ]
+            if record.verdict is not None and record.verdict.attributed:
+                entry["breaches"] = [b.journal_fields() for b in record.verdict.attributed]
         self.journal.append(entry)
 
     def _rebuild_submission(self, entry: Dict) -> Tuple[PolicySubmission, Optional[str]]:
@@ -522,17 +491,14 @@ class Concordd:
         tries the engine advances by an exponentially growing backoff
         (transient faults — verifier flakes, pin I/O errors — get time
         to clear)."""
-        last: Optional[BPFError] = None
-        for attempt in range(1, RECOVERY_ATTEMPTS + 1):
-            try:
-                return fn()
-            except BPFError as exc:
-                last = exc
-                if attempt < RECOVERY_ATTEMPTS:
-                    self.kernel.run(
-                        until=self.kernel.now + RECOVERY_BACKOFF_NS * (2 ** (attempt - 1))
-                    )
-        raise last
+        return retry(
+            fn,
+            RECOVERY_ATTEMPTS,
+            (BPFError,),
+            lambda n: self.kernel.run(
+                until=self.kernel.now + RECOVERY_BACKOFF_NS * (2 ** (n - 1))
+            ),
+        )
 
     def recover(self) -> Dict[str, object]:
         """Rebuild daemon state from the journal after a crash.
@@ -619,77 +585,44 @@ class Concordd:
 
         # -- phase 2: reconcile ---------------------------------------
         for record in sorted(self.records.values(), key=lambda r: r.created_ns):
-            if record.terminal:
-                continue
+            patches = journal_patches.get(record.name, [])
             if record.state is PolicyState.SUBMITTED:
-                record.error = "daemon crashed before verification completed"
-                record.transition(
-                    PolicyState.REJECTED,
-                    "recovery: daemon crashed before verification completed; resubmit",
-                    self.audit,
-                    self.kernel.now,
-                )
+                error = "daemon crashed before verification completed"
+                self._reject(record, error, f"recovery: {error}; resubmit")
                 summary["rejected"].append(record.name)
             elif record.state is PolicyState.VERIFIED:
                 try:
                     for spec in record.submission.specs:
                         self._with_retries(lambda s=spec: self.concord.verify_policy(s))
-                    self.audit.append(
-                        AuditRecord(
-                            self.kernel.now,
-                            record.name,
-                            record.client_id,
-                            record.state,
-                            record.state,
-                            "recovery: re-verified, still eligible for rollout",
-                            "event",
-                        )
+                    self._note(
+                        record,
+                        self.kernel.now,
+                        "recovery: re-verified, still eligible for rollout",
                     )
                 except BPFError as exc:
-                    record.error = str(exc)
-                    record.transition(
-                        PolicyState.REJECTED,
-                        f"recovery: re-verification failed ({exc})",
-                        self.audit,
-                        self.kernel.now,
-                    )
+                    self._reject(record, str(exc), f"recovery: re-verification failed ({exc})")
                     summary["rejected"].append(record.name)
-            elif record.state is PolicyState.CANARY:
-                self._recover_teardown(record, journal_patches.get(record.name, []))
-                record.transition(
-                    PolicyState.ROLLED_BACK,
-                    "recovery: daemon crashed mid-canary; an unwatched canary "
-                    "must not keep running",
-                    self.audit,
-                    self.kernel.now,
-                )
+            elif record.state in (PolicyState.CANARY, PolicyState.ACTIVE):
+                error = None
+                if record.state is PolicyState.CANARY:
+                    cause = (
+                        "daemon crashed mid-canary; an unwatched canary "
+                        "must not keep running"
+                    )
+                elif record.name in problems:
+                    error = problems[record.name]
+                    cause = f"{error}; rolled back fail-open"
+                else:
+                    try:
+                        self._recover_active(record, patches)
+                    except BPFError as exc:
+                        error = str(exc)
+                        cause = f"could not re-attach ({exc}); rolled back fail-open"
+                    else:
+                        summary["reattached"].append(record.name)
+                        continue
+                self._fail_open(record, patches, f"recovery: {cause}", error)
                 summary["rolled_back"].append(record.name)
-            elif record.state is PolicyState.ACTIVE:
-                problem = problems.get(record.name)
-                if problem is not None:
-                    self._recover_teardown(record, journal_patches.get(record.name, []))
-                    record.error = problem
-                    record.transition(
-                        PolicyState.ROLLED_BACK,
-                        f"recovery: {problem}; rolled back fail-open",
-                        self.audit,
-                        self.kernel.now,
-                    )
-                    summary["rolled_back"].append(record.name)
-                    continue
-                try:
-                    self._recover_active(record, journal_patches.get(record.name, []))
-                    summary["reattached"].append(record.name)
-                except BPFError as exc:
-                    self._recover_teardown(record, journal_patches.get(record.name, []))
-                    record.error = str(exc)
-                    record.transition(
-                        PolicyState.ROLLED_BACK,
-                        f"recovery: could not re-attach ({exc}); rolled back fail-open",
-                        self.audit,
-                        self.kernel.now,
-                    )
-                    summary["rolled_back"].append(record.name)
 
         # -- phase 3: sweep crash debris ------------------------------
         expected = set()
@@ -702,15 +635,22 @@ class Concordd:
                 summary["swept"].append(name)
         return summary
 
-    def _recover_teardown(self, record: PolicyRecord, patch_entries: List) -> None:
-        """Undo a dead rollout's installation: unload its hook programs
-        (idempotent) and revert any journaled livepatch still active."""
+    def _fail_open(
+        self, record: PolicyRecord, patch_entries: List, cause: str, error: Optional[str]
+    ) -> None:
+        """Roll back what recovery cannot keep — a crashed canary, an
+        ACTIVE policy whose impl factory was lost or that would not
+        re-attach: unload its hook programs (idempotent), revert every
+        journaled livepatch still active, and move it to ROLLED_BACK."""
         for spec in record.submission.specs:
             self.concord.unload_policy(spec.name)
         patcher = self.kernel.patcher
         for patch_name, _locks in reversed(list(patch_entries)):
             if patch_name in patcher.active:
                 patcher.revert(patch_name)
+        if error is not None:
+            record.error = error
+        record.transition(PolicyState.ROLLED_BACK, cause, self.audit, self.kernel.now)
 
     def _recover_active(self, record: PolicyRecord, patch_entries: List) -> None:
         """Bring an ACTIVE record's installation back: every hook program
@@ -748,18 +688,12 @@ class Concordd:
                             )
                         )
                     fixed.append(f"re-applied impl switch on {', '.join(lock_names)}")
-        self.audit.append(
-            AuditRecord(
-                self.kernel.now,
-                record.name,
-                record.client_id,
-                record.state,
-                record.state,
-                "recovery: ACTIVE installation verified ("
-                + ("; ".join(fixed) if fixed else "kernel state intact")
-                + ")",
-                "event",
-            )
+        self._note(
+            record,
+            self.kernel.now,
+            "recovery: ACTIVE installation verified ("
+            + ("; ".join(fixed) if fixed else "kernel state intact")
+            + ")",
         )
 
     # ------------------------------------------------------------------

@@ -27,7 +27,7 @@ never acts on its own: the rollout engine decides what a breach means
 
 from __future__ import annotations
 
-from typing import Iterable, List, NamedTuple, Optional, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 from ..concord.profiler import (
     LockProfile,
@@ -123,6 +123,18 @@ class Breach(NamedTuple):
 
     def __str__(self) -> str:
         return self.describe()
+
+    def journal_fields(self) -> Dict[str, object]:
+        """The breach as journaled: a daemon transition's ``breaches``
+        and the fleet's ``pooled-breach``/``wave-drift-breach`` events."""
+        return {
+            "lock": self.lock_name,
+            "metric": self.metric,
+            "baseline": self.baseline,
+            "observed": self.observed,
+            "budget": self.budget,
+            "kernels": list(self.kernels),
+        }
 
 
 class LockDelta(NamedTuple):

@@ -43,7 +43,7 @@ from ..faults import (
     SITE_STORAGE_CORRUPT_SNAPSHOT,
     fault_point,
 )
-from ..storage.record import encode_record, maybe_corrupt
+from ..storage.record import canonical, encode_record, maybe_corrupt
 from ..storage.snapshot import (
     Violation,
     encode_snapshot,
@@ -57,6 +57,7 @@ __all__ = [
     "JournalError",
     "JournalCorruption",
     "BPFFS_JOURNAL_PATH",
+    "append_best_effort",
 ]
 
 #: Where the journal conceptually lives in the simulated kernel.
@@ -65,6 +66,22 @@ BPFFS_JOURNAL_PATH = "/sys/fs/bpf/concord/journal.jsonl"
 
 class JournalError(Exception):
     """The journal file is unreadable or corrupt beyond the crash model."""
+
+
+def append_best_effort(journal, entry: Dict[str, Any]) -> None:
+    """Append ``entry`` to ``journal`` (if any), swallowing
+    :class:`JournalError`.
+
+    For writes whose loss can only cost history, never correctness: the
+    fleet journal (a lost entry downgrades resume into unwind), the
+    adaptation loop's decisions (the daemons' own recovery carries the
+    no-unjudged-cull invariant) and the scrubber's verdicts."""
+    if journal is None:
+        return
+    try:
+        journal.append(entry)
+    except JournalError:
+        pass
 
 
 class JournalCorruption(JournalError):
@@ -107,12 +124,11 @@ class PolicyJournal:
         self.member = member
         self._memory: List[Dict[str, Any]] = []
         self._fh = None
-        #: Parsed snapshot+log entries, revalidated against the file
-        #: stat signature on every read — recovery, health, and debt
-        #: paths all call :meth:`entries`, and re-parsing the whole file
-        #: each time was O(file) per call.
-        self._cache: Optional[List[Dict[str, Any]]] = None
-        self._cache_sig: Optional[Tuple[int, int, int, int]] = None
+        #: The entries as this object last read or appended them, in the
+        #: writer's key order (a stored record sorts its keys).  Only a
+        #: key-order memo: :meth:`entries` reads the disk on every call
+        #: and serves these only while the disk holds the same entries.
+        self._as_written: Optional[List[Dict[str, Any]]] = None
         #: The next sequence number to claim; 0 until a file-backed
         #: journal has read the file's high-water mark.
         self._next_seq = 1 if path is None else 0
@@ -191,7 +207,6 @@ class PolicyJournal:
             if self._fh is None:  # reopened after close()
                 self._trim_torn_tail()
                 self._fh = open(self.path, "a", encoding="utf-8")
-                self._cache = None
             seq = self._claim_seq()
             line = encode_record(seq, entry)
             written = maybe_corrupt(
@@ -209,11 +224,8 @@ class PolicyJournal:
                 kind=entry.get("kind"),
             )
             os.fsync(self._fh.fileno())
-            if written is line and self._cache is not None:
-                self._cache.append(dict(entry))
-            else:
-                self._cache = None  # our own write rotted; disk is truth
-            self._cache_sig = self._sig()
+            if self._as_written is not None:
+                self._as_written.append(dict(entry))
         else:
             self._claim_seq()
             self._memory.append(dict(entry))
@@ -226,9 +238,14 @@ class PolicyJournal:
     def entries(self) -> List[Dict[str, Any]]:
         """Every journaled entry, oldest first (snapshot, then log).
 
-        A corrupt/truncated *last* line (the mid-write-crash artifact)
-        is dropped; corruption elsewhere — a mangled mid-file line, a
-        checksum or sequence violation, a rotten snapshot — raises
+        A file-backed journal reads the disk on every call, so rot or an
+        external append is seen by the object that wrote the file as by
+        a fresh reader, and moves the next sequence number past whatever
+        it read; entries this object wrote keep their key order while
+        the disk still holds them unchanged.  A corrupt/truncated
+        *last* line (the mid-write-crash artifact) is dropped;
+        corruption elsewhere — a mangled mid-file line, a checksum or
+        sequence violation, a rotten snapshot — raises
         :class:`JournalCorruption`.
         """
         fault_point(
@@ -238,44 +255,24 @@ class PolicyJournal:
         )
         if self.path is None:
             return [dict(entry) for entry in self._memory]
-        return [dict(entry) for entry in self._refresh()]
-
-    def _refresh(self) -> List[Dict[str, Any]]:
-        """Serve the cache when the files are unchanged; re-parse (and
-        re-derive the next sequence number) when they are not."""
-        if self._fh is not None:
-            self._fh.flush()
-        sig = self._sig()
-        if self._cache is None or sig != self._cache_sig:
-            parsed, last_seq = self._load()
-            self._cache = parsed
-            self._cache_sig = sig
-            self._next_seq = max(self._next_seq, last_seq + 1)
-        return self._cache
-
-    def _sig(self) -> Tuple[int, int, int, int]:
-        def stat(path: Optional[str]) -> Tuple[int, int]:
-            try:
-                st = os.stat(path)
-            except (OSError, TypeError):
-                return (-1, -1)
-            return (st.st_size, st.st_mtime_ns)
-
-        return stat(self.path) + stat(self.snapshot_path)
+        stored = self._load()
+        if self._as_written is None or canonical(self._as_written) != canonical(stored):
+            self._as_written = stored
+        return [dict(entry) for entry in self._as_written]
 
     def _claim_seq(self) -> int:
         if not self._next_seq:
-            self._refresh()
+            self._as_written = self._load()
         seq = self._next_seq
         self._next_seq = seq + 1
         return seq
 
     def stored(self) -> Tuple[Optional[str], List[Tuple[int, str]], bool]:
-        """What is on disk, never the cache: the snapshot blob (or
-        ``None``), the log's non-blank lines numbered physically from 1,
-        and whether the final line lacks its newline.  Both files are
-        read as bytes and decoded with ``errors="replace"``, so a byte
-        that is not UTF-8 is rot for the checksums to find, not a crash.
+        """What is on disk: the snapshot blob (or ``None``), the log's
+        non-blank lines numbered physically from 1, and whether the
+        final line lacks its newline.  Both files are read as bytes and
+        decoded with ``errors="replace"``, so a byte that is not UTF-8
+        is rot for the checksums to find, not a crash.
         """
         if self._fh is not None:
             self._fh.flush()
@@ -291,8 +288,9 @@ class PolicyJournal:
         lines = [(n, line) for n, line in enumerate(decoded, start=1) if line.strip()]
         return blob, lines, bool(data) and not data.endswith(b"\n")
 
-    def _load(self) -> Tuple[List[Dict[str, Any]], int]:
-        """Parse snapshot + log from disk -> ``(entries, last_seq)``."""
+    def _load(self) -> List[Dict[str, Any]]:
+        """Parse snapshot + log from disk and move the next sequence
+        number past the last one stored."""
         blob, lines, _ = self.stored()
         copy = read_copy(blob, lines, keyed=False)
         if copy.violations:
@@ -300,7 +298,8 @@ class PolicyJournal:
             if bad.kind != "record" or bad.position != lines[-1][0]:
                 raise self._corruption(bad)
             # A corrupt final line is a torn write; everything before it holds.
-        return copy.entries, copy.last_seq
+        self._next_seq = max(self._next_seq, copy.last_seq + 1)
+        return copy.entries
 
     def _corruption(self, bad: Violation) -> JournalCorruption:
         tag = f" (member {self.member})" if self.member else ""
@@ -350,13 +349,11 @@ class PolicyJournal:
             path=self.snapshot_path,
         )
         write_snapshot_file(self.snapshot_path, blob)
-        if self._fh is not None:
-            self._fh.close()
+        self.close()
         with open(self.path, "w", encoding="utf-8"):
             pass  # the log's content now lives in the snapshot
         self._fh = open(self.path, "a", encoding="utf-8")
-        self._cache = [dict(entry) for entry in folded]
-        self._cache_sig = self._sig()
+        self._as_written = [dict(entry) for entry in folded]
         return {"before": len(before), "after": len(folded), "last_seq": last_seq}
 
     def salvage(self) -> Dict[str, Any]:
@@ -396,8 +393,7 @@ class PolicyJournal:
                 fh.flush()
                 os.fsync(fh.fileno())
         self._fh = open(self.path, "a", encoding="utf-8")
-        self._cache = copy.entries
-        self._cache_sig = self._sig()
+        self._as_written = copy.entries
         self._next_seq = copy.last_seq + 1
         report["kept"] = len(copy.entries)
         return report
@@ -418,9 +414,7 @@ class PolicyJournal:
             default_exc=JournalError,
             path=self.path or "<memory>",
         )
-        entry: Dict[str, Any] = {"kind": "heartbeat", "ts": ts}
-        entry.update(extra)
-        self.append(entry)
+        self.append({"kind": "heartbeat", "ts": ts, **extra})
 
     # ------------------------------------------------------------------
     def last_transition(self, policy: str) -> Optional[Dict[str, Any]]:

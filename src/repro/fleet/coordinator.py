@@ -44,7 +44,12 @@ from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from ..bpf.errors import BPFError
 from ..controlplane.guards import Breach, Guard, pool_reports
-from ..controlplane.journal import JournalCorruption, JournalError, PolicyJournal
+from ..controlplane.journal import (
+    JournalCorruption,
+    JournalError,
+    PolicyJournal,
+    append_best_effort,
+)
 from ..controlplane.lifecycle import ControlPlaneError, PolicyState, PolicySubmission
 from ..faults import (
     SITE_FLEET_DEBT_DRAIN,
@@ -53,8 +58,9 @@ from ..faults import (
     SITE_FLEET_WAVE,
     fault_point,
 )
-from ..netsim import Fabric, NetError, RpcEnvelope, RpcExhausted
+from ..netsim import Fabric, NetError, RpcEnvelope, RpcExhausted, retry
 from ..replication.txn import SerializationConflict
+from ..storage.snapshot import outstanding_debt
 from .health import EpochFenced, HealthState, MemberUnreachable
 from .manager import FleetError, FleetManager, FleetMember
 from .planner import FleetPlan
@@ -262,7 +268,6 @@ PlacementRefresher`; consulted after each completed wave.  When it
         self.journal = journal
         self.client_id = client_id
         self.health = health
-        self.member_retries = member_retries
         self.fabric = fabric or Fabric()
         self.envelope = RpcEnvelope(
             retries=member_retries,
@@ -334,32 +339,22 @@ PlacementRefresher`; consulted after each completed wave.  When it
                 give_up=give_up,
             )
         except EpochFenced as exc:
-            self._journal_rpc_exhausted(kernel, op, "fenced", 1, 0, exc)
+            self._journal_rpc_exhausted(kernel, RpcExhausted("fenced", op, 1, 0, exc))
             raise
         except RpcExhausted as exc:
-            self._journal_rpc_exhausted(
-                kernel, op, exc.classification, exc.attempts, exc.elapsed_ns, exc.cause
-            )
+            self._journal_rpc_exhausted(kernel, exc)
             raise MemberUnreachable(str(exc)) from exc.cause
 
-    def _journal_rpc_exhausted(
-        self,
-        kernel: str,
-        op: str,
-        classification: str,
-        attempts: int,
-        elapsed_ns: int,
-        cause: Optional[BaseException],
-    ) -> None:
+    def _journal_rpc_exhausted(self, kernel: str, exc: RpcExhausted) -> None:
         self._journal(
             {
                 "event": "rpc-exhausted",
                 "kernel": kernel,
-                "op": op,
-                "classification": classification,
-                "attempts": attempts,
-                "elapsed_ns": elapsed_ns,
-                "cause": str(cause) if cause is not None else "",
+                "op": exc.op,
+                "classification": exc.classification,
+                "attempts": exc.attempts,
+                "elapsed_ns": exc.elapsed_ns,
+                "cause": str(exc.cause) if exc.cause is not None else "",
             }
         )
 
@@ -431,11 +426,7 @@ PlacementRefresher`; consulted after each completed wave.  When it
         rollout = FleetRollout(plan)
         rollout.state = FleetRolloutState.RUNNING
         if self.ledger is not None and start_wave == 0:
-            rollout.txn = self._pending_txns.pop(plan.policy, None)
-            if rollout.txn is None:
-                rollout.txn = self.ledger.begin(
-                    self._txn_id(plan), locks=self._plan_footprint(plan)
-                )
+            rollout.txn = self._pending_txns.pop(plan.policy, None) or self._begin(plan)
         if start_wave == 0:
             # The plan entry is the recovery anchor and the one write
             # that is NOT best-effort: without it a later crash would
@@ -444,16 +435,7 @@ PlacementRefresher`; consulted after each completed wave.  When it
             # only after bounded retries, so a transient fsync flake
             # doesn't kill an otherwise healthy rollout.
             if self.journal is not None:
-                self._seq += 1
-                self._append_plan_anchor(
-                    {
-                        "kind": "fleet",
-                        "seq": self._seq,
-                        "event": "plan",
-                        "rollout": plan.policy,
-                        "plan": plan.serialize(),
-                    }
-                )
+                self._append_plan_anchor(plan)
         else:
             rollout.resumed_from_wave = start_wave
         # Position-indexed rather than ``for wave in plan.waves``: a
@@ -489,9 +471,7 @@ PlacementRefresher`; consulted after each completed wave.  When it
                 try:
                     member = self._reach(kernel, "rollout", rollout)
                 except MemberUnreachable as exc:
-                    outcome = f"UNREACHABLE: {exc}"
-                    self._member_lost(rollout, kernel, str(exc))
-                    rollout.outcomes[kernel] = outcome
+                    outcome = self._member_lost(rollout, kernel, exc)
                 else:
                     if stall:
                         member.kernel.run(until=member.kernel.now + stall)
@@ -584,43 +564,43 @@ PlacementRefresher`; consulted after each completed wave.  When it
         """
         if self.ledger is None:
             raise FleetError("open_transaction needs a serialization ledger")
-        txn = self.ledger.begin(
-            self._txn_id(plan), locks=self._plan_footprint(plan)
-        )
-        self._pending_txns[plan.policy] = txn
+        txn = self._pending_txns[plan.policy] = self._begin(plan)
         return txn
 
-    def _txn_id(self, plan: FleetPlan) -> str:
-        return f"{plan.policy}@{self.client_id}"
-
-    def _plan_footprint(self, plan: FleetPlan) -> List[str]:
-        """The lock set the rollout reads and writes: the union of its
-        per-member canary locks (the locks whose policy it changes)."""
+    def _begin(self, plan: FleetPlan):
+        """Open the rollout's ledger transaction over its footprint: the
+        union of its per-member canary locks (the locks whose policy it
+        changes)."""
         locks = set()
         for names in plan.canary_locks.values():
             locks.update(names)
-        return sorted(locks) if locks else [f"policy:{plan.policy}"]
+        return self.ledger.begin(
+            f"{plan.policy}@{self.client_id}",
+            locks=sorted(locks) if locks else [f"policy:{plan.policy}"],
+        )
 
-    def _append_plan_anchor(self, entry: Dict[str, object]) -> None:
+    def _append_plan_anchor(self, plan: FleetPlan) -> None:
         """Write the recovery anchor with bounded retry + backoff.
 
         Backoff runs the in-service kernels forward — waiting out a
         transient journal fault costs simulated time.  If the final
         attempt still fails the :class:`JournalError` propagates and the
         rollout is refused (nothing is patched yet)."""
-        last: Optional[JournalError] = None
-        for attempt in range(1, PLAN_APPEND_RETRIES + 1):
-            try:
-                self.journal.append(entry)
-                return
-            except JournalError as exc:
-                last = exc
-                if attempt < PLAN_APPEND_RETRIES:
-                    pause = self.envelope.backoff(attempt)
-                    for member in self.fleet.active_members():
-                        member.kernel.run(until=member.kernel.now + pause)
-        assert last is not None
-        raise last
+        self._seq += 1
+        entry = {
+            "kind": "fleet",
+            "seq": self._seq,
+            "event": "plan",
+            "rollout": plan.policy,
+            "plan": plan.serialize(),
+        }
+
+        def pause(attempt: int) -> None:
+            wait = self.envelope.backoff(attempt)
+            for member in self.fleet.active_members():
+                member.kernel.run(until=member.kernel.now + wait)
+
+        retry(lambda: self.journal.append(entry), PLAN_APPEND_RETRIES, (JournalError,), pause)
 
     def _rollout_on(
         self,
@@ -679,10 +659,7 @@ PlacementRefresher`; consulted after each completed wave.  When it
             try:
                 member = self._reach(kernel, "bake", rollout)
             except MemberUnreachable as exc:
-                # Book the loss *before* overwriting the outcome: debt
-                # is owed only if the policy was live on the member.
-                self._member_lost(rollout, kernel, str(exc))
-                rollout.outcomes[kernel] = f"UNREACHABLE: {exc}"
+                self._member_lost(rollout, kernel, exc)
                 continue
             member.kernel.run(until=member.kernel.now + wave.bake_ns)
             reached[kernel] = member
@@ -754,29 +731,11 @@ PlacementRefresher`; consulted after each completed wave.  When it
             kernels.append(kernel)
         if not baselines:
             return ()
-        pooled_base = pool_reports(baselines)
         pooled_canary = pool_reports(canaries)
-        attributed: List[Breach] = []
+        judged = []  # (journal event, guard verdict)
         if self.pooled_guard is not None:
-            verdict = self.pooled_guard.evaluate(pooled_base, pooled_canary)
-            if verdict.ready and not verdict.ok:
-                attributed.extend(
-                    b._replace(kernels=tuple(kernels)) for b in verdict.attributed
-                )
-                for breach in attributed:
-                    self._journal(
-                        {
-                            "event": "pooled-breach",
-                            "rollout": plan.policy,
-                            "wave": wave.index,
-                            "lock": breach.lock_name,
-                            "metric": breach.metric,
-                            "baseline": breach.baseline,
-                            "observed": breach.observed,
-                            "budget": breach.budget,
-                            "kernels": list(kernels),
-                        }
-                    )
+            verdict = self.pooled_guard.evaluate(pool_reports(baselines), pooled_canary)
+            judged.append(("pooled-breach", verdict))
         if self.wave_drift_guard is not None:
             if rollout.wave_anchor_report is None:
                 rollout.wave_anchor_report = pooled_canary
@@ -784,26 +743,22 @@ PlacementRefresher`; consulted after each completed wave.  When it
                 drift = self.wave_drift_guard.evaluate(
                     rollout.wave_anchor_report, pooled_canary
                 )
-                if drift.ready and not drift.ok:
-                    drifted = tuple(
-                        b._replace(kernels=tuple(kernels))
-                        for b in drift.attributed
-                    )
-                    for breach in drifted:
-                        self._journal(
-                            {
-                                "event": "wave-drift-breach",
-                                "rollout": plan.policy,
-                                "wave": wave.index,
-                                "lock": breach.lock_name,
-                                "metric": breach.metric,
-                                "baseline": breach.baseline,
-                                "observed": breach.observed,
-                                "budget": breach.budget,
-                                "kernels": list(kernels),
-                            }
-                        )
-                    attributed.extend(drifted)
+                judged.append(("wave-drift-breach", drift))
+        attributed: List[Breach] = []
+        for event, verdict in judged:
+            if not verdict.ready or verdict.ok:
+                continue
+            for breach in verdict.attributed:
+                breach = breach._replace(kernels=tuple(kernels))
+                attributed.append(breach)
+                self._journal(
+                    {
+                        "event": event,
+                        "rollout": plan.policy,
+                        "wave": wave.index,
+                        **breach.journal_fields(),
+                    }
+                )
         return tuple(attributed)
 
     def _halt(self, rollout: FleetRollout, cause: str) -> None:
@@ -844,8 +799,7 @@ PlacementRefresher`; consulted after each completed wave.  When it
                 member = self._reach(kernel, "revert", rollout)
             except MemberUnreachable as exc:
                 rollout.revert_failures[kernel] = str(exc)
-                self._member_lost(rollout, kernel, str(exc))
-                rollout.outcomes[kernel] = f"UNREACHABLE: {exc}"
+                self._member_lost(rollout, kernel, exc)
                 continue
             record = member.daemon.records.get(plan.policy)
             if record is None or record.terminal:
@@ -859,14 +813,7 @@ PlacementRefresher`; consulted after each completed wave.  When it
                 )
                 if stall:
                     member.kernel.run(until=member.kernel.now + stall)
-                if record.state in (PolicyState.CANARY, PolicyState.ACTIVE):
-                    member.daemon.force_rollback(plan.policy, f"fleet halt: {cause}")
-                else:
-                    # Live but nothing installed (e.g. VERIFIED after a
-                    # failed canary install): the kernel is already
-                    # stock — retire the record so the name and quota
-                    # free up instead of squatting mid-lifecycle.
-                    member.daemon.withdraw(record.client_id, plan.policy)
+                self._to_stock(member, record, f"fleet halt: {cause}")
                 rollout.reverted.append(kernel)
                 rollout.outcomes[kernel] = record.state.name
                 self._journal(
@@ -880,10 +827,15 @@ PlacementRefresher`; consulted after each completed wave.  When it
     # ------------------------------------------------------------------
     # Member loss, quarantine, and revert debt
     # ------------------------------------------------------------------
-    def _member_lost(self, rollout: FleetRollout, kernel: str, cause: str) -> None:
+    def _member_lost(
+        self, rollout: FleetRollout, kernel: str, exc: MemberUnreachable
+    ) -> str:
         """A member went unreachable mid-rollout: journal the loss,
-        quarantine it, and convert anything the rollout had live on it
-        into revert debt."""
+        quarantine it, convert anything the rollout had live on it into
+        revert debt, and record (and return) its ``UNREACHABLE: …``
+        outcome.  Debt is judged on the outcome *before* it is
+        overwritten: it is owed only if the policy was live there."""
+        cause = str(exc)
         self._journal(
             {
                 "event": "member-dead",
@@ -902,6 +854,8 @@ PlacementRefresher`; consulted after each completed wave.  When it
                 rollout.epochs.get(kernel, -1),
                 cause,
             )
+        outcome = rollout.outcomes[kernel] = f"UNREACHABLE: {cause}"
+        return outcome
 
     def add_debt(self, kernel: str, policy: str, epoch: int, cause: str) -> None:
         """Book one revert owed to an unreachable member (deduped on
@@ -963,45 +917,40 @@ PlacementRefresher`; consulted after each completed wave.  When it
             if kernel not in self.fleet or self.fleet.is_quarantined(kernel):
                 continue
             member = self.fleet.member(kernel)
-            failure: Optional[Exception] = None
-            for attempt in range(1, DEBT_DRAIN_RETRIES + 1):
-                try:
-                    fault_point(
-                        SITE_FLEET_DEBT_DRAIN,
-                        default_exc=MemberUnreachable,
-                        kernel=kernel,
-                        policy=policy,
-                    )
-                    self._drain_one(member, policy)
-                    failure = None
-                    break
-                except (ControlPlaneError, BPFError) as exc:
-                    failure = exc
-                    if attempt < DEBT_DRAIN_RETRIES:
-                        member.kernel.run(
-                            until=member.kernel.now + self.envelope.backoff(attempt)
-                        )
-            if failure is None:
-                self.debt.remove(entry)
-                drained.append(entry)
-                self._journal(
-                    {
-                        "event": "debt-drained",
-                        "rollout": policy,
-                        "kernel": kernel,
-                        "epoch": member.epoch,
-                    }
+            try:
+                retry(
+                    lambda: self._drain_one(member, policy),
+                    DEBT_DRAIN_RETRIES,
+                    (ControlPlaneError, BPFError),
+                    lambda n: member.kernel.run(
+                        until=member.kernel.now + self.envelope.backoff(n)
+                    ),
                 )
+            except (ControlPlaneError, BPFError):
+                continue  # still owed; a later drain or recover retries it
+            self.debt.remove(entry)
+            drained.append(entry)
+            self._journal(
+                {
+                    "event": "debt-drained",
+                    "rollout": policy,
+                    "kernel": kernel,
+                    "epoch": member.epoch,
+                }
+            )
         return drained
 
     def _drain_one(self, member: FleetMember, policy: str) -> None:
         """Force one owed policy back to stock on a reachable member."""
+        fault_point(
+            SITE_FLEET_DEBT_DRAIN,
+            default_exc=MemberUnreachable,
+            kernel=member.name,
+            policy=policy,
+        )
         record = member.daemon.records.get(policy)
         if record is not None and not record.terminal:
-            if record.state in (PolicyState.CANARY, PolicyState.ACTIVE):
-                member.daemon.force_rollback(policy, "fleet revert debt drained")
-            else:
-                member.daemon.withdraw(record.client_id, policy)
+            self._to_stock(member, record, "fleet revert debt drained")
         # Crash debris: programs named for the policy that no record
         # owns (a daemon that died before journaling the submission
         # rebuilds no record for them).  Unload is idempotent.
@@ -1011,6 +960,18 @@ PlacementRefresher`; consulted after each completed wave.  When it
             if n == policy or n.startswith(policy + ".")
         ]:
             member.concord.unload_policy(name)
+
+    @staticmethod
+    def _to_stock(member: FleetMember, record, cause: str) -> None:
+        """Take a live record back to stock: force-rollback what is
+        installed (CANARY/ACTIVE); anything else — e.g. VERIFIED after a
+        failed canary install — has nothing installed, so the owner
+        withdraws it and the name and quota free up instead of squatting
+        mid-lifecycle."""
+        if record.state in (PolicyState.CANARY, PolicyState.ACTIVE):
+            member.daemon.force_rollback(record.name, cause)
+        else:
+            member.daemon.withdraw(record.client_id, record.name)
 
     # ------------------------------------------------------------------
     # Recovery
@@ -1055,13 +1016,11 @@ PlacementRefresher`; consulted after each completed wave.  When it
             raise FleetError("fleet recovery needs a fleet journal")
         for member in self.fleet.active_members():
             try:
-                member.restart()
-                if member.journal is not None and len(member.journal):
-                    member.daemon.recover()
+                self._restart(member)
             except JournalCorruption as exc:
                 self._quarantine_corrupt_shard(member, exc)
         try:
-            entries = [e for e in self.journal.entries() if e.get("kind") == "fleet"]
+            entries = self.journal.entries()
         except JournalCorruption:
             report = self.journal.salvage()
             self._journal(
@@ -1072,7 +1031,8 @@ PlacementRefresher`; consulted after each completed wave.  When it
                     "dropped": report.get("dropped", 0),
                 }
             )
-            entries = [e for e in self.journal.entries() if e.get("kind") == "fleet"]
+            entries = self.journal.entries()
+        entries = [e for e in entries if e.get("kind") == "fleet"]
         self._load_debt(entries)
         result = self._recover_plan(submission_factory, entries, rollout_kwargs)
         self.drain_debt()
@@ -1106,9 +1066,7 @@ PlacementRefresher`; consulted after each completed wave.  When it
         )
         report = member.journal.salvage()
         try:
-            member.restart()
-            if member.journal is not None and len(member.journal):
-                member.daemon.recover()
+            self._restart(member)
         except (ControlPlaneError, JournalError):
             pass  # best-effort: the quarantine below stands regardless
         self.quarantine(
@@ -1119,24 +1077,26 @@ PlacementRefresher`; consulted after each completed wave.  When it
             ),
         )
 
+    @staticmethod
+    def _restart(member: FleetMember) -> None:
+        """Restart a member's daemon and recover it from its journal
+        shard (an empty shard has nothing to replay)."""
+        member.restart()
+        if member.journal is not None and len(member.journal):
+            member.daemon.recover()
+
     def _load_debt(self, entries: List[Dict[str, object]]) -> None:
         """Rebuild the outstanding-debt ledger from the fleet journal,
         merged with anything already booked in memory."""
-        outstanding: Dict[Tuple[str, str], Dict[str, object]] = {}
-        for entry in entries:
-            key = (str(entry.get("kernel")), str(entry.get("rollout")))
-            if entry.get("event") == "revert-debt":
-                outstanding.setdefault(
-                    key,
-                    {
-                        "kernel": key[0],
-                        "policy": key[1],
-                        "epoch": int(entry.get("epoch", -1)),
-                        "cause": str(entry.get("cause", "journaled")),
-                    },
-                )
-            elif entry.get("event") == "debt-drained":
-                outstanding.pop(key, None)
+        outstanding = {
+            key: {
+                "kernel": key[0],
+                "policy": key[1],
+                "epoch": int(entry.get("epoch", -1)),
+                "cause": str(entry.get("cause", "journaled")),
+            }
+            for key, entry in outstanding_debt(entries).items()
+        }
         for entry in self.debt:
             outstanding.setdefault((str(entry["kernel"]), str(entry["policy"])), entry)
         self.debt = list(outstanding.values())
@@ -1222,14 +1182,9 @@ PlacementRefresher`; consulted after each completed wave.  When it
 
     # ------------------------------------------------------------------
     def _journal(self, entry: Dict[str, object]) -> None:
+        """Best-effort by design (see module docstring): losing an entry
+        can only downgrade resume into unwind."""
         if self.journal is None:
             return
         self._seq += 1
-        payload = {"kind": "fleet", "seq": self._seq}
-        payload.update(entry)
-        try:
-            self.journal.append(payload)
-        except JournalError:
-            # Best-effort by design (see module docstring): losing an
-            # entry can only downgrade resume into unwind.
-            pass
+        append_best_effort(self.journal, {"kind": "fleet", "seq": self._seq, **entry})

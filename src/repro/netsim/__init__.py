@@ -20,12 +20,14 @@ that could actually split the network.
 * :mod:`.envelope` — :class:`RpcEnvelope`: the coordinator's retry
   policy with seeded backoff jitter, a per-call timeout, a total
   simulated-time deadline, and classified exhaustion
-  (``unreachable`` / ``fenced`` / ``corrupt`` / ``deadline-exceeded``).
+  (``unreachable`` / ``fenced`` / ``corrupt`` / ``deadline-exceeded``),
+  and :func:`retry`, the bounded loop the control plane's other
+  retries share.
 * :mod:`.errors` — the transport (:class:`NetError`) and envelope
   (:class:`RpcExhausted`) failure vocabulary.
 """
 
-from .envelope import RpcEnvelope
+from .envelope import RpcEnvelope, retry
 from .errors import (
     CLASSIFICATIONS,
     LinkDown,
@@ -50,5 +52,6 @@ __all__ = [
     "RpcEnvelope",
     "RpcError",
     "RpcExhausted",
+    "retry",
     "sample_partition_schedule",
 ]

@@ -31,9 +31,30 @@ from typing import Callable, Optional, Tuple, Type, TypeVar
 
 from .errors import RpcExhausted
 
-__all__ = ["RpcEnvelope"]
+__all__ = ["RpcEnvelope", "retry"]
 
 T = TypeVar("T")
+
+
+def retry(
+    fn: Callable[[], T],
+    attempts: int,
+    errors: Tuple[Type[BaseException], ...],
+    pause: Callable[[int], None],
+) -> T:
+    """Call ``fn`` up to ``attempts`` times; the last error re-raises.
+
+    After failed attempt ``n`` (not the last) ``pause(n)`` runs: the
+    caller's simulated backoff, so waiting out a transient fault costs
+    simulated time.  The bounded loop the control plane's
+    non-envelope retries share — the plan anchor, the revert-debt
+    drain and daemon recovery."""
+    for attempt in range(1, attempts):
+        try:
+            return fn()
+        except errors:
+            pause(attempt)
+    return fn()
 
 
 class RpcEnvelope:

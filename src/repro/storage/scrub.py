@@ -29,7 +29,7 @@ at worst to a spurious (idempotent) repair, never to damage.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, NamedTuple, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from ..faults import SITE_STORAGE_CORRUPT_DIGEST, fault_point
 from .record import majority_digest
@@ -116,9 +116,7 @@ class Scrubber:
     # ------------------------------------------------------------------
     def scrub_journal(self, journal) -> ScrubReport:
         """Re-verify every framed line (and the snapshot) of a
-        file-backed journal against the raw bytes on disk — never the
-        journal's in-memory cache; the cache is exactly what a scrub
-        must not trust."""
+        file-backed journal against the raw bytes on disk."""
         path = journal.path
         blob, lines, torn = journal.stored()
         copy = read_copy(blob, lines, keyed=False)
@@ -234,30 +232,27 @@ class Scrubber:
     def _journal_verdict(self, report: ScrubReport) -> None:
         if report.ok or self.journal is None:
             return
-        from ..controlplane.journal import JournalError
+        from ..controlplane.journal import append_best_effort
 
-        entries: List[Dict[str, Any]] = [
+        append_best_effort(
+            self.journal,
             {
                 "kind": "fleet",
                 "event": "scrub-failed",
                 "target": report.target,
                 "findings": [str(f) for f in report.findings],
-            }
-        ]
+            },
+        )
         if report.repaired:
-            entries.append(
+            append_best_effort(
+                self.journal,
                 {
                     "kind": "fleet",
                     "event": "scrub-repaired",
                     "target": report.target,
                     "sites": list(report.repaired),
-                }
+                },
             )
-        for entry in entries:
-            try:
-                self.journal.append(entry)
-            except JournalError:
-                pass  # best-effort, like every fleet journal write
 
     def _done(self, report: ScrubReport) -> ScrubReport:
         self.scrubs += 1

@@ -53,6 +53,7 @@ __all__ = [
     "decode_snapshot",
     "encode_snapshot",
     "fold_entries",
+    "outstanding_debt",
     "read_copy",
     "write_snapshot_file",
 ]
@@ -129,20 +130,26 @@ def fold_entries(entries: List[Dict[str, Any]]) -> List[Dict[str, Any]]:
 
 def _fold_fleet(fleet: List[Dict[str, Any]]) -> List[Dict[str, Any]]:
     """Keep the latest rollout's window plus pre-anchor outstanding debt."""
-    anchor = None
-    for index, entry in enumerate(fleet):
-        if entry.get("event") == "plan":
-            anchor = index
-    head = fleet if anchor is None else fleet[:anchor]
-    tail = [] if anchor is None else fleet[anchor:]
+    anchors = [index for index, entry in enumerate(fleet) if entry.get("event") == "plan"]
+    cut = anchors[-1] if anchors else len(fleet)
+    return list(outstanding_debt(fleet[:cut]).values()) + fleet[cut:]
+
+
+def outstanding_debt(
+    fleet: Iterable[Dict[str, Any]],
+) -> Dict[Tuple[str, str], Dict[str, Any]]:
+    """The ``revert-debt`` entries no later ``debt-drained`` clears,
+    keyed by ``(kernel, rollout)``, in booking order; the first booking
+    of a key wins until a drain clears it.  Compaction keeps these, and
+    a restarted coordinator rebuilds its debt from them."""
     outstanding: Dict[Tuple[str, str], Dict[str, Any]] = {}
-    for entry in head:
+    for entry in fleet:
         key = (str(entry.get("kernel")), str(entry.get("rollout")))
         if entry.get("event") == "revert-debt":
             outstanding.setdefault(key, entry)
         elif entry.get("event") == "debt-drained":
             outstanding.pop(key, None)
-    return list(outstanding.values()) + tail
+    return outstanding
 
 
 # ----------------------------------------------------------------------

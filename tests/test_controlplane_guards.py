@@ -341,6 +341,20 @@ class TestPoolReports:
         assert pooled.by_name("svc.b.lock").acquired == 7
         assert pooled.started_ns == 50 and pooled.stopped_ns == 200
 
+    def test_pooling_one_report_is_the_identity(self):
+        # A single-kernel adaptation window is the pooled window of one.
+        alone = report(
+            prof("svc.a.lock", acquired=10, hist=[0, 5], sockets=[6, 4]),
+            prof("svc.b.lock", acquired=7, avg_wait=250.0, hist=[3, 0, 1], sockets=[0, 7]),
+            started=100,
+            stopped=200,
+        )
+        pooled = pool_reports([alone])
+        assert [p.lock_name for p in pooled.profiles] == ["svc.a.lock", "svc.b.lock"]
+        for mine, theirs in zip(pooled.profiles, alone.profiles):
+            assert mine == theirs  # every counter, histogram and socket count
+        assert (pooled.started_ns, pooled.stopped_ns) == (100, 200)
+
     def test_pooled_counts_cross_readiness_no_member_reaches(self):
         guard = TailWaitGuard(min_acquisitions=30, max_tail_regression=0.5)
         baselines, canaries = [], []

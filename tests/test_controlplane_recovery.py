@@ -27,6 +27,7 @@ from repro.controlplane import (
     PolicySubmission,
     SLOGuard,
 )
+from repro.controlplane.daemon import RECOVERY_BACKOFF_NS
 from repro.faults import FaultPlan, InjectedCrash, injected
 from repro.kernel import Kernel
 from repro.locks import ShflLock, SpinParkMutex
@@ -368,11 +369,14 @@ class TestRecover:
         daemon_b = make_daemon(concord, PolicyJournal(path))
         plan = FaultPlan(name="flaky-recovery")
         plan.fail("concord.verifier", times=2)  # two flakes, three tries
+        before = kernel.now
         with injected(plan):
             summary = daemon_b.recover()
         assert summary["reattached"] == ["steady"]
         assert daemon_b.status("steady").state is PolicyState.ACTIVE
         assert plan.fired["concord.verifier"] == 2
+        # The two pauses: 10 µs after the first flake, 20 µs after the second.
+        assert kernel.now - before == 3 * RECOVERY_BACKOFF_NS
 
     def test_lost_impl_factory_rolls_back_fail_open(self, tmp_path):
         path = str(tmp_path / "journal.jsonl")

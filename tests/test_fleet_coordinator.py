@@ -240,12 +240,14 @@ def test_unjournalable_plan_refuses_to_start():
     from repro.controlplane import JournalError
     from repro.faults import FaultPlan, injected
     from repro.fleet.coordinator import PLAN_APPEND_RETRIES
+    from repro.netsim import RpcEnvelope
 
     fleet = three_kernel_fleet()
     plan = RolloutPlanner(**PLANNER).plan("numa-good", learn(fleet))
     coord = FleetCoordinator(fleet, journal=PolicyJournal())
     fault = FaultPlan(seed=1)
     fault.fail("controlplane.journal.append", times=None)  # persistent
+    before = {member.name: member.kernel.now for member in fleet.active_members()}
     # Losing the plan anchor would make any later crash unrecoverable
     # (patched kernels with no journaled rollout), so once the bounded
     # retries are exhausted the coordinator aborts before touching a
@@ -255,6 +257,14 @@ def test_unjournalable_plan_refuses_to_start():
             coord.execute(plan, good_factory, **ROLLOUT_KWARGS)
     assert fault.fired["controlplane.journal.append"] == PLAN_APPEND_RETRIES
     assert fleet_stock(fleet, "numa-good")
+    # Each pause between attempts ran every in-service kernel forward by
+    # one backoff draw of the coordinator's default envelope, in order.
+    envelope = RpcEnvelope(retries=1, seed=0)
+    paused = envelope.backoff(1) + envelope.backoff(2)
+    assert {
+        member.name: member.kernel.now - before[member.name]
+        for member in fleet.active_members()
+    } == {name: paused for name in before}
 
 
 def test_transient_plan_append_fault_is_retried():

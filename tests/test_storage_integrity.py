@@ -211,10 +211,13 @@ class TestJournalIntegrity:
         assert decode_record(lines[-1])[0] == 4
 
     def test_cache_notices_external_writes(self, tmp_path):
+        """The journal reads the disk on every call: the object that
+        wrote the file sees every external write, as a fresh reader
+        would."""
         path = str(tmp_path / "journal.jsonl")
         journal = PolicyJournal(path)
         journal.append({"kind": "client", "client": "a"})
-        assert journal.entries() == journal.entries()  # cached, stable
+        assert journal.entries() == journal.entries()  # stable
         sneaky = {"kind": "client", "client": "external"}
         with open(path, "a") as fh:
             fh.write(encode_record(2, sneaky) + "\n")
@@ -222,6 +225,18 @@ class TestJournalIntegrity:
         journal.append({"kind": "client", "client": "c"})  # seq continues
         with open(path) as fh:
             assert decode_record([l for l in fh if l.strip()][-1])[0] == 3
+        # Same-size rot of a mid-file line with the mtime put back (one
+        # coarse timestamp tick): a reader trusting (size, mtime) would
+        # still serve the entries from before the rot.
+        before = os.stat(path)
+        rot_line(path, 0, 5, "bitflip")
+        os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns))
+        after = os.stat(path)
+        assert (after.st_size, after.st_mtime_ns) == (before.st_size, before.st_mtime_ns)
+        with pytest.raises(JournalCorruption):
+            PolicyJournal(path).entries()
+        with pytest.raises(JournalCorruption):
+            journal.entries()
 
     @pytest.mark.parametrize("rot", ROTS)
     def test_salvage_keeps_the_valid_prefix_and_the_evidence(self, tmp_path, rot):

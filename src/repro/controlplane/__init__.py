@@ -70,7 +70,6 @@ from .guards import (
     LockDelta,
     SLOGuard,
     TailWaitGuard,
-    WaveDriftGuard,
     pool_reports,
 )
 
@@ -118,6 +117,5 @@ __all__ = [
     "LockDelta",
     "SLOGuard",
     "TailWaitGuard",
-    "WaveDriftGuard",
     "pool_reports",
 ]

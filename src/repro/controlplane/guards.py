@@ -44,7 +44,6 @@ __all__ = [
     "LockDelta",
     "SLOGuard",
     "TailWaitGuard",
-    "WaveDriftGuard",
     "FairnessGuard",
     "AllOf",
     "AnyOf",
@@ -58,8 +57,8 @@ AGGREGATE = "*"
 #: (one lucky wait must not decide a tail or a skew).
 MIN_LOCK_ACQUISITIONS = 5
 
-#: Total canary acquisitions below which the fairness and drift guards
-#: defer their verdict (not ready); the tail guard's default.
+#: Total canary acquisitions below which the fairness guard defers its
+#: verdict (not ready); the tail guard's default.
 MIN_ACQUISITIONS = 20
 
 #: Tail guards clamp quantile baselines up to this before the relative
@@ -103,13 +102,8 @@ class Breach(NamedTuple):
                 f"(budget +{self.budget:.2f})"
             )
         if phrase is None:
-            # Tail metrics are named for their quantile: p99_wait_ns,
-            # or p99_wait_drift_ns for cross-wave drift vs the anchor.
-            quantile = self.metric.split("_", 1)[0]
-            if self.metric.endswith("_drift_ns"):
-                phrase = f"{quantile} wait drifted from the anchor wave"
-            else:
-                phrase = f"{quantile} wait regressed"
+            # Tail metrics are named for their quantile: p99_wait_ns.
+            phrase = f"{self.metric.split('_', 1)[0]} wait regressed"
         if self.baseline:
             rel = (self.observed - self.baseline) / self.baseline
             moved = f"{rel:+.0%}"
@@ -126,7 +120,7 @@ class Breach(NamedTuple):
 
     def journal_fields(self) -> Dict[str, object]:
         """The breach as journaled: a daemon transition's ``breaches``
-        and the fleet's ``pooled-breach``/``wave-drift-breach`` events."""
+        and the fleet's ``pooled-breach`` events."""
         return {
             "lock": self.lock_name,
             "metric": self.metric,
@@ -360,29 +354,6 @@ class TailWaitGuard(Guard):
                     )
                 )
         return GuardVerdict(not breaches, breaches, deltas, ready=True, missing=missing)
-
-
-class WaveDriftGuard(TailWaitGuard):
-    """Cross-wave tail drift: wave N's pooled canary vs wave 0's.
-
-    Same per-lock quantile comparison as :class:`TailWaitGuard`, but the
-    "baseline" the fleet coordinator feeds it is the **first wave's
-    pooled canary evidence** (the rollout's anchor), not the same wave's
-    pre-patch baseline.  That closes the slow-regression gap: a policy
-    whose cost grows a few percent per wave passes every wave's own
-    canary-vs-baseline check, yet by the later cohorts its tail has
-    drifted far from where the anchor wave landed — and this guard halts
-    the rollout before the last cohort instead of after it.
-
-    The metric is named ``p99_wait_drift_ns`` (for the default quantile)
-    so journal entries and breach descriptions distinguish drift from a
-    same-wave tail regression.
-    """
-
-    def __init__(self, quantile: float = 0.99, max_tail_drift: float = 0.30) -> None:
-        super().__init__(quantile=quantile, max_tail_regression=max_tail_drift)
-        self.max_tail_drift = max_tail_drift
-        self.metric = f"p{round(quantile * 100):g}_wait_drift_ns"
 
 
 class FairnessGuard(Guard):

@@ -434,5 +434,6 @@ class PolicyJournal:
         return len(self.entries())
 
     def __repr__(self) -> str:
+        # Names the store only: counting entries would replay it.
         where = self.path if self.path is not None else "<memory>"
-        return f"PolicyJournal({where!r}, {len(self)} entries)"
+        return f"PolicyJournal({where!r})"

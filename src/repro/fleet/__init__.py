@@ -43,14 +43,8 @@ from .health import (
     ProbeRecord,
 )
 from .manager import FleetError, FleetManager, FleetMember
-from .placement import LockPlacement, PlacementMap, PlacementRefresher
-from .planner import (
-    FleetPlan,
-    FleetPlanError,
-    RolloutPlanner,
-    StalePlacementWarning,
-    WaveSpec,
-)
+from .placement import LockPlacement, PlacementMap
+from .planner import FleetPlan, FleetPlanError, RolloutPlanner, WaveSpec
 
 __all__ = [
     "FleetError",
@@ -58,11 +52,9 @@ __all__ = [
     "FleetMember",
     "LockPlacement",
     "PlacementMap",
-    "PlacementRefresher",
     "FleetPlan",
     "FleetPlanError",
     "RolloutPlanner",
-    "StalePlacementWarning",
     "WaveSpec",
     "FleetCoordinator",
     "FleetRollout",

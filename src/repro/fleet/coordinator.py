@@ -60,7 +60,7 @@ from ..faults import (
 )
 from ..netsim import Fabric, NetError, RpcEnvelope, RpcExhausted, retry
 from ..replication.txn import SerializationConflict
-from ..storage.snapshot import outstanding_debt
+from ..storage.snapshot import outstanding_debt, rollout_window
 from .health import EpochFenced, HealthState, MemberUnreachable
 from .manager import FleetError, FleetManager, FleetMember
 from .planner import FleetPlan
@@ -153,9 +153,6 @@ class FleetRollout:
         #: The rollout's transaction in the coordinator's serialization
         #: ledger (None when no ledger is configured).
         self.txn = None
-        #: The first wave's pooled canary evidence — the anchor later
-        #: waves' pooled canaries are drift-checked against.
-        self.wave_anchor_report = None
 
     def active_kernels(self) -> List[str]:
         return sorted(k for k, s in self.outcomes.items() if s == "ACTIVE")
@@ -225,12 +222,6 @@ class FleetCoordinator:
             members individually saw too few acquisitions to judge —
             becomes judgeable on the pooled counters; its breaches
             (kernel-attributed) fail the fleet verdict in both modes.
-        wave_drift_guard: optional guard (typically a
-            :class:`~repro.controlplane.guards.WaveDriftGuard`) judging
-            each wave's pooled canary evidence against the *first*
-            wave's — so a regression that creeps in wave over wave,
-            never tripping any single wave's canary-vs-baseline check,
-            still halts the fleet before the last cohort.
         ledger: optional :class:`~repro.replication.txn.\
 SerializationLedger` shared by concurrent coordinators.  Each rollout
             runs as one transaction over its canary-lock footprint,
@@ -238,13 +229,6 @@ SerializationLedger` shared by concurrent coordinators.  Each rollout
             rollouts over overlapping locks cannot both commit — the
             second aborts with a journaled ``serialization-conflict``
             and halts cleanly (reverting its patched kernels).
-        refresher: optional :class:`~repro.fleet.placement.\
-PlacementRefresher`; consulted after each completed wave.  When it
-            adopts a fresh placement map (drift beyond its hysteresis
-            band), the remaining waves are re-planned against it.
-        planner: the :class:`~repro.fleet.planner.RolloutPlanner` used
-            for mid-rollout replanning (required for ``refresher`` to
-            have any effect).
     """
 
     def __init__(
@@ -255,10 +239,7 @@ PlacementRefresher`; consulted after each completed wave.  When it
         health=None,
         member_retries: int = 1,
         pooled_guard: Optional[Guard] = None,
-        wave_drift_guard: Optional[Guard] = None,
         ledger=None,
-        refresher=None,
-        planner=None,
         fabric: Optional[Fabric] = None,
         rpc_timeout_ns: Optional[int] = None,
         rpc_deadline_ns: Optional[int] = None,
@@ -276,10 +257,7 @@ PlacementRefresher`; consulted after each completed wave.  When it
             seed=rpc_jitter_seed,
         )
         self.pooled_guard = pooled_guard
-        self.wave_drift_guard = wave_drift_guard
         self.ledger = ledger
-        self.refresher = refresher
-        self.planner = planner
         #: Transactions pre-opened via :meth:`open_transaction`, keyed
         #: by policy, consumed by the next :meth:`execute` of that plan.
         self._pending_txns: Dict[str, object] = {}
@@ -438,14 +416,7 @@ PlacementRefresher`; consulted after each completed wave.  When it
                 self._append_plan_anchor(plan)
         else:
             rollout.resumed_from_wave = start_wave
-        # Position-indexed rather than ``for wave in plan.waves``: a
-        # placement refresh may replace the *tail* of the wave list
-        # mid-rollout (see the replan block below), and an iterator over
-        # the original list would keep executing the stale waves.
-        pos = 0
-        while pos < len(plan.waves):
-            wave = plan.waves[pos]
-            pos += 1
+        for wave in plan.waves:
             if wave.index < start_wave:
                 # Trust the journal's word for already-completed waves;
                 # recover() verified their kernels are ACTIVE.
@@ -503,30 +474,6 @@ PlacementRefresher`; consulted after each completed wave.  When it
                     "verdict": verdict.describe(),
                 }
             )
-            if (
-                self.refresher is not None
-                and self.planner is not None
-                and pos < len(plan.waves)
-            ):
-                refreshed, adopted = self.refresher.maybe_refresh()
-                if adopted:
-                    plan = self.planner.replan_remaining(
-                        plan, refreshed, wave.index + 1
-                    )
-                    rollout.plan = plan
-                    pos = len([w for w in plan.waves if w.index <= wave.index])
-                    # Journaled as a fresh recovery anchor: a crash after
-                    # the replan must resume against the *new* wave tail,
-                    # not the plan entry's stale one.
-                    self._journal(
-                        {
-                            "event": "replan",
-                            "rollout": plan.policy,
-                            "after_wave": wave.index,
-                            "drift": self.refresher.last_drift,
-                            "plan": plan.serialize(),
-                        }
-                    )
         if rollout.txn is not None and self.ledger is not None:
             try:
                 self.ledger.commit(rollout.txn)
@@ -699,17 +646,8 @@ PlacementRefresher`; consulted after each completed wave.  When it
         attributed to the kernels that supplied evidence, and a
         ``pooled-breach`` journal entry records each one before the
         verdict is taken.
-
-        The wave-drift guard rides the same pooled evidence but against
-        a different baseline: the *first* wave's pooled canary report
-        (``rollout.wave_anchor_report``).  A slow cross-wave regression
-        — each wave fine against its own baseline, each a little worse
-        than the last — shows up as drift against the anchor and halts
-        the fleet before the final cohort; its breaches are journaled as
-        ``wave-drift-breach`` and fail the verdict like any pooled
-        breach.
         """
-        if self.pooled_guard is None and self.wave_drift_guard is None:
+        if self.pooled_guard is None:
             return ()
         baselines, canaries, kernels = [], [], []
         for kernel in wave.kernels:
@@ -731,35 +669,24 @@ PlacementRefresher`; consulted after each completed wave.  When it
             kernels.append(kernel)
         if not baselines:
             return ()
-        pooled_canary = pool_reports(canaries)
-        judged = []  # (journal event, guard verdict)
-        if self.pooled_guard is not None:
-            verdict = self.pooled_guard.evaluate(pool_reports(baselines), pooled_canary)
-            judged.append(("pooled-breach", verdict))
-        if self.wave_drift_guard is not None:
-            if rollout.wave_anchor_report is None:
-                rollout.wave_anchor_report = pooled_canary
-            else:
-                drift = self.wave_drift_guard.evaluate(
-                    rollout.wave_anchor_report, pooled_canary
-                )
-                judged.append(("wave-drift-breach", drift))
-        attributed: List[Breach] = []
-        for event, verdict in judged:
-            if not verdict.ready or verdict.ok:
-                continue
-            for breach in verdict.attributed:
-                breach = breach._replace(kernels=tuple(kernels))
-                attributed.append(breach)
-                self._journal(
-                    {
-                        "event": event,
-                        "rollout": plan.policy,
-                        "wave": wave.index,
-                        **breach.journal_fields(),
-                    }
-                )
-        return tuple(attributed)
+        verdict = self.pooled_guard.evaluate(
+            pool_reports(baselines), pool_reports(canaries)
+        )
+        if not verdict.ready or verdict.ok:
+            return ()
+        attributed = tuple(
+            breach._replace(kernels=tuple(kernels)) for breach in verdict.attributed
+        )
+        for breach in attributed:
+            self._journal(
+                {
+                    "event": "pooled-breach",
+                    "rollout": plan.policy,
+                    "wave": wave.index,
+                    **breach.journal_fields(),
+                }
+            )
+        return attributed
 
     def _halt(self, rollout: FleetRollout, cause: str) -> None:
         """Fleet verdict failed: journal the halt, then converge to
@@ -1107,23 +1034,12 @@ PlacementRefresher`; consulted after each completed wave.  When it
         entries: List[Dict[str, object]],
         rollout_kwargs: Dict,
     ) -> Optional[FleetRollout]:
-        plan_entry = None
-        anchor_entry = None
-        for entry in entries:
-            if entry.get("event") == "plan":
-                # The rollout's recovery anchor: the event tail (wave
-                # completions, halt, complete) starts here.
-                plan_entry = anchor_entry = entry
-            elif entry.get("event") == "replan" and plan_entry is not None:
-                # A replan carries the full re-waved plan and supersedes
-                # the anchor's wave list — but not its position in the
-                # journal: wave-done entries before the replan still
-                # belong to this rollout.
-                plan_entry = entry
-        if plan_entry is None:
+        # The latest rollout's window opens at its plan anchor; the
+        # event tail (wave completions, halt, complete) follows it.
+        _, tail = rollout_window(entries)
+        if not tail:
             return None
-        plan = FleetPlan.deserialize(plan_entry["plan"])
-        tail = entries[entries.index(anchor_entry) :]
+        plan = FleetPlan.deserialize(tail[0]["plan"])
         events = {e.get("event") for e in tail}
         if "complete" in events or "unwound" in events:
             return None

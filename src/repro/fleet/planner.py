@@ -24,35 +24,18 @@ structure it crashed under.
 from __future__ import annotations
 
 import math
-import warnings
-from typing import Dict, List, NamedTuple, Optional
+from typing import Dict, List, NamedTuple
 
 from ..controlplane.lifecycle import ControlPlaneError
 from .placement import PlacementMap
 
-__all__ = [
-    "FleetPlan",
-    "FleetPlanError",
-    "RolloutPlanner",
-    "StalePlacementWarning",
-    "WaveSpec",
-]
+__all__ = ["FleetPlan", "FleetPlanError", "RolloutPlanner", "WaveSpec"]
 
 VERDICT_MODES = ("any-breach", "quorum")
 
 
 class FleetPlanError(ControlPlaneError):
     """The planner cannot produce a sane plan from these inputs."""
-
-
-class StalePlacementWarning(UserWarning):
-    """Planning proceeded from a placement map past its freshness bound.
-
-    The plan is still produced — wave ordering from a stale map is
-    suboptimal, not unsafe — but the operator should re-learn.  (The
-    ROADMAP's full freshness story — periodic re-learn with hysteresis —
-    builds on this hook.)
-    """
 
 
 class WaveSpec(NamedTuple):
@@ -159,11 +142,6 @@ class RolloutPlanner:
         canary_fraction: fraction of a kernel's matched locks carrying
             the canary (subject to ``min_canary_locks``).
         min_canary_locks: lower bound on canary subset size per kernel.
-        max_placement_age_ns: freshness bound on the placement map.
-            ``None`` (the default) disables the check; otherwise
-            :meth:`plan` emits a :class:`StalePlacementWarning` when the
-            map's learn window closed more than this long before the
-            caller's ``now_ns``.
     """
 
     def __init__(
@@ -175,7 +153,6 @@ class RolloutPlanner:
         quorum: float = 1.0,
         canary_fraction: float = 0.25,
         min_canary_locks: int = 1,
-        max_placement_age_ns: Optional[int] = None,
     ) -> None:
         if max_concurrent_kernels < 1:
             raise FleetPlanError("max_concurrent_kernels must be >= 1")
@@ -194,26 +171,9 @@ class RolloutPlanner:
         self.quorum = quorum
         self.canary_fraction = canary_fraction
         self.min_canary_locks = min_canary_locks
-        self.max_placement_age_ns = max_placement_age_ns
 
     # ------------------------------------------------------------------
-    def plan(
-        self,
-        policy: str,
-        placement: PlacementMap,
-        now_ns: Optional[int] = None,
-    ) -> FleetPlan:
-        if self.max_placement_age_ns is not None and now_ns is not None:
-            if placement.is_stale(now_ns, self.max_placement_age_ns):
-                learned = placement.learned_at_ns
-                age = "unknown" if learned is None else f"{now_ns - learned}ns"
-                warnings.warn(
-                    f"placement map is stale (age {age} > "
-                    f"{self.max_placement_age_ns}ns); planning {policy!r} "
-                    f"from it anyway — consider re-learning",
-                    StalePlacementWarning,
-                    stacklevel=2,
-                )
+    def plan(self, policy: str, placement: PlacementMap) -> FleetPlan:
         kernels = placement.kernels()
         if not kernels:
             raise FleetPlanError(
@@ -247,53 +207,6 @@ class RolloutPlanner:
             canary_locks=canary_locks,
             verdict_mode=self.verdict_mode,
             quorum=self.quorum,
-        )
-
-    def replan_remaining(
-        self,
-        plan: FleetPlan,
-        placement: PlacementMap,
-        next_wave_index: int,
-    ) -> FleetPlan:
-        """Re-wave the unexecuted tail of ``plan`` against a fresh map.
-
-        Waves with ``index < next_wave_index`` are already executed (or
-        in flight) and kept verbatim — a replan must never reorder the
-        past.  The remaining kernels are re-ranked by the refreshed
-        map's blast radius (kernels the new map no longer sees rank
-        first, at radius 0: nothing known to be at stake on them) and
-        re-waved at ``max_concurrent_kernels`` width; no new canary wave
-        is minted — the original canary already gated this rollout.
-        Canary-lock subsets for remaining kernels are refreshed from the
-        new placements where the map has any, and kept otherwise.
-        """
-        done = [w for w in plan.waves if w.index < next_wave_index]
-        done_kernels = {k for w in done for k in w.kernels}
-        remaining = [k for k in plan.kernels() if k not in done_kernels]
-        ranked = sorted(remaining, key=lambda k: (placement.blast_radius(k), k))
-
-        waves = list(done)
-        for start in range(0, len(ranked), self.max_concurrent_kernels):
-            waves.append(
-                WaveSpec(
-                    index=len(waves),
-                    kernels=ranked[start : start + self.max_concurrent_kernels],
-                    canary=False,
-                    bake_ns=self.bake_ns,
-                )
-            )
-
-        canary_locks = dict(plan.canary_locks)
-        for kernel in ranked:
-            placements = placement.for_kernel(kernel)
-            if placements:
-                canary_locks[kernel] = self.canary_subset(placements)
-        return FleetPlan(
-            policy=plan.policy,
-            waves=waves,
-            canary_locks=canary_locks,
-            verdict_mode=plan.verdict_mode,
-            quorum=plan.quorum,
         )
 
     def canary_subset(self, placements) -> List[str]:

@@ -18,10 +18,11 @@ What folding keeps, per entry kind (everything replay still needs):
 * ``heartbeat`` — the last one per member (liveness is a high-water
   mark, not a history);
 * ``fleet`` — the tail from the most recent ``plan`` anchor onward
-  (that is the window :meth:`FleetCoordinator.recover` scans), plus any
-  ``revert-debt`` raised before the anchor and not yet drained before
-  it — outstanding debt must survive compaction or a quarantined
-  member's revert would be forgotten;
+  (:func:`rollout_window`, the same window
+  :meth:`FleetCoordinator.recover` scans), plus any ``revert-debt``
+  raised before the anchor and not yet drained before it — outstanding
+  debt must survive compaction or a quarantined member's revert would
+  be forgotten;
 * anything else — preserved verbatim, in order (unknown kinds are
   replay no-ops today, but compaction must not bet on that).
 
@@ -55,6 +56,7 @@ __all__ = [
     "fold_entries",
     "outstanding_debt",
     "read_copy",
+    "rollout_window",
     "write_snapshot_file",
 ]
 
@@ -130,9 +132,20 @@ def fold_entries(entries: List[Dict[str, Any]]) -> List[Dict[str, Any]]:
 
 def _fold_fleet(fleet: List[Dict[str, Any]]) -> List[Dict[str, Any]]:
     """Keep the latest rollout's window plus pre-anchor outstanding debt."""
+    before, tail = rollout_window(fleet)
+    return list(outstanding_debt(before).values()) + tail
+
+
+def rollout_window(
+    fleet: List[Dict[str, Any]],
+) -> Tuple[List[Dict[str, Any]], List[Dict[str, Any]]]:
+    """Split fleet entries at the latest rollout's anchor, the *last*
+    ``plan`` entry: ``(before, tail)``, the tail opening with the
+    anchor; with no anchor, ``(fleet, [])``.  Compaction keeps the tail,
+    and a restarted coordinator recovers the rollout it holds."""
     anchors = [index for index, entry in enumerate(fleet) if entry.get("event") == "plan"]
     cut = anchors[-1] if anchors else len(fleet)
-    return list(outstanding_debt(fleet[:cut]).values()) + fleet[cut:]
+    return fleet[:cut], fleet[cut:]
 
 
 def outstanding_debt(

@@ -29,7 +29,6 @@ from repro.controlplane.guards import (
     FairnessGuard,
     SLOGuard,
     TailWaitGuard,
-    WaveDriftGuard,
     pool_reports,
 )
 from repro.fleet import FleetCoordinator, FleetManager, FleetRolloutState
@@ -206,51 +205,6 @@ class TestTailWaitGuard:
     def test_metric_names_track_the_quantile(self):
         assert TailWaitGuard(quantile=0.99).metric == "p99_wait_ns"
         assert TailWaitGuard(quantile=0.5).metric == "p50_wait_ns"
-
-
-class TestWaveDriftGuard:
-    """Wave-over-wave drift: wave N's pooled canary judged against the
-    *anchor* (wave 0) pooled canary, not against a pre-rollout baseline
-    — catches a policy whose cost compounds as the fleet fills in."""
-
-    def anchor(self):
-        return report(
-            prof("svc.a.lock", acquired=200, hist=[0] * 10 + [200]),
-            prof("svc.b.lock", acquired=200, hist=[0] * 10 + [200]),
-        )
-
-    def drifted(self):
-        # svc.a.lock's tail walks two buckets up by wave N.
-        return report(
-            prof("svc.a.lock", acquired=200, hist=[0] * 10 + [196, 0, 4]),
-            prof("svc.b.lock", acquired=200, hist=[0] * 10 + [200]),
-        )
-
-    def test_trips_on_wave_over_wave_drift(self):
-        verdict = WaveDriftGuard(max_tail_drift=0.5).evaluate(
-            self.anchor(), self.drifted()
-        )
-        assert verdict.ready and not verdict.ok
-        breach = verdict.attributed[0]
-        assert breach.lock_name == "svc.a.lock"
-        assert breach.metric == "p99_wait_drift_ns"
-        assert "drifted from the anchor wave" in breach.describe()
-
-    def test_steady_waves_pass(self):
-        verdict = WaveDriftGuard(max_tail_drift=0.5).evaluate(
-            self.anchor(), self.anchor()
-        )
-        assert verdict.ready and verdict.ok
-
-    def test_metric_names_track_the_quantile(self):
-        assert WaveDriftGuard(quantile=0.99).metric == "p99_wait_drift_ns"
-        assert WaveDriftGuard(quantile=0.5).metric == "p50_wait_drift_ns"
-
-    def test_is_a_tail_guard_with_its_own_budget_name(self):
-        guard = WaveDriftGuard(max_tail_drift=0.3)
-        assert isinstance(guard, TailWaitGuard)
-        assert guard.max_tail_drift == 0.3
-        assert guard.max_tail_regression == 0.3
 
 
 class TestFairnessGuard:

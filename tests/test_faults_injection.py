@@ -311,6 +311,21 @@ class TestControlPlaneSites:
         # so a reader sees the entry the writer thinks was lost.
         assert len(journal.entries()) == 1
 
+    def test_journal_repr_names_the_store_without_replaying_it(self, tmp_path):
+        from repro.controlplane import JournalError, PolicyJournal
+
+        path = str(tmp_path / "j.jsonl")
+        for journal, where in ((PolicyJournal(), "<memory>"), (PolicyJournal(path), path)):
+            journal.append({"kind": "client", "client": "x"})
+            plan = FaultPlan()
+            plan.fail("controlplane.journal.replay", times=1)
+            with injected(plan):
+                assert repr(journal) == f"PolicyJournal({where!r})"
+                assert plan.hits["controlplane.journal.replay"] == 0
+                # The rule was not consumed: the next replay still fails.
+                with pytest.raises(JournalError, match="injected fault"):
+                    journal.entries()
+
     def test_journal_replay_fault_fails_recovery_loudly(self, kernel):
         from repro.controlplane import JournalError, PolicyJournal
 

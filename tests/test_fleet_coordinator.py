@@ -8,14 +8,12 @@ breach.
 
 import pytest
 
-from repro.controlplane import PolicyJournal, PolicyState, SLOGuard, WaveDriftGuard
+from repro.controlplane import PolicyJournal, PolicyState, SLOGuard
 from repro.fleet import (
     FleetCoordinator,
     FleetManager,
-    FleetPlan,
     FleetRolloutState,
     FleetVerdict,
-    PlacementRefresher,
     RolloutPlanner,
 )
 
@@ -281,73 +279,3 @@ def test_transient_plan_append_fault_is_retried():
         rollout = coord.execute(plan, good_factory, **ROLLOUT_KWARGS)
     assert rollout.state is FleetRolloutState.COMPLETE
     assert fleet_active(fleet, "numa-good")
-
-
-def test_wave_drift_guard_halts_slow_cross_wave_regression():
-    # k0 (quiet, wave 0) anchors the rollout's tail; the busy k1/k2
-    # cohort lands far above it, so a tight drift budget halts the
-    # fleet even though every kernel passes its own canary check.
-    fleet = three_kernel_fleet()
-    planner = RolloutPlanner(canary_fraction=1.0, **PLANNER)
-    plan = planner.plan("numa-good", learn(fleet))
-    journal = PolicyJournal()
-    coord = FleetCoordinator(
-        fleet,
-        journal=journal,
-        wave_drift_guard=WaveDriftGuard(max_tail_drift=0.5),
-    )
-    rollout = coord.execute(plan, good_factory, **ROLLOUT_KWARGS)
-
-    assert rollout.state is FleetRolloutState.HALTED
-    assert rollout.wave_anchor_report is not None
-    assert fleet_stock(fleet, "numa-good")
-    entries = [e for e in journal.entries() if e.get("kind") == "fleet"]
-    drifts = [e for e in entries if e["event"] == "wave-drift-breach"]
-    assert drifts and all(e["metric"] == "p99_wait_drift_ns" for e in drifts)
-    assert all(e["wave"] == 1 and e["observed"] > e["baseline"] for e in drifts)
-    events = [e["event"] for e in entries]
-    assert "halt" in events and "complete" not in events
-
-
-def test_loose_wave_drift_budget_lets_the_fleet_complete():
-    fleet = three_kernel_fleet()
-    planner = RolloutPlanner(canary_fraction=1.0, **PLANNER)
-    plan = planner.plan("numa-good", learn(fleet))
-    coord = FleetCoordinator(
-        fleet, wave_drift_guard=WaveDriftGuard(max_tail_drift=1_000.0)
-    )
-    rollout = coord.execute(plan, good_factory, **ROLLOUT_KWARGS)
-    assert rollout.state is FleetRolloutState.COMPLETE
-    assert fleet_active(fleet, "numa-good")
-
-
-def test_refresher_replans_the_tail_mid_rollout():
-    fleet = three_kernel_fleet()
-    current = learn(fleet)
-    planner = RolloutPlanner(**PLANNER)
-    plan = planner.plan("numa-good", current)
-    # adopt_above=0 adopts on the first wave boundary regardless of how
-    # little the steady fleet actually drifted.
-    refresher = PlacementRefresher(
-        fleet, "svc.*.lock", current,
-        window_ns=150_000, adopt_above=0.0, settle_below=0.0,
-    )
-    journal = PolicyJournal()
-    coord = FleetCoordinator(
-        fleet, journal=journal, refresher=refresher, planner=planner
-    )
-    rollout = coord.execute(plan, good_factory, **ROLLOUT_KWARGS)
-
-    assert rollout.state is FleetRolloutState.COMPLETE
-    assert refresher.adoptions == 1
-    assert fleet_active(fleet, "numa-good")
-    entries = [e for e in journal.entries() if e.get("kind") == "fleet"]
-    replans = [e for e in entries if e["event"] == "replan"]
-    assert len(replans) == 1 and replans[0]["after_wave"] == 0
-    assert replans[0]["drift"] == refresher.last_drift
-    # The journaled replan is a full recovery anchor: it deserializes to
-    # the plan the rollout actually finished on, canary wave preserved.
-    replanned = FleetPlan.deserialize(replans[0]["plan"])
-    assert replanned.serialize() == rollout.plan.serialize()
-    assert replanned.waves[0].canary and replanned.waves[0].kernels == ["k0"]
-    assert sorted(replanned.kernels()) == ["k0", "k1", "k2"]

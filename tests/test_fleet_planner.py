@@ -13,7 +13,6 @@ from repro.fleet import (
     FleetPlanError,
     LockPlacement,
     PlacementMap,
-    PlacementRefresher,
     RolloutPlanner,
 )
 from repro.fleet.placement import _CLASS_WEIGHT
@@ -190,237 +189,3 @@ def test_planner_rejects_bad_knobs_and_empty_maps():
 
 def test_class_weights_are_ordered():
     assert _CLASS_WEIGHT["hot"] > _CLASS_WEIGHT["warm"] > _CLASS_WEIGHT["cold"]
-
-
-# ----------------------------------------------------------------------
-# Placement staleness
-# ----------------------------------------------------------------------
-def test_learn_stamps_learned_at_from_member_clocks():
-    fleet = three_kernel_fleet()
-    placement = learn(fleet)
-    assert placement.learned_at_ns is not None
-    assert placement.learned_at_ns == max(m.kernel.now for m in fleet.members())
-
-
-def test_is_stale_math():
-    placement = PlacementMap(_placements("k", [("a", 0, "cold")]), learned_at_ns=1_000)
-    assert not placement.is_stale(now_ns=1_500, max_age_ns=500)
-    assert placement.is_stale(now_ns=1_501, max_age_ns=500)
-    # A map with no timestamp (hand-built, deserialized from an old
-    # format) is always stale once a freshness bound is in force.
-    unstamped = PlacementMap(_placements("k", [("a", 0, "cold")]))
-    assert unstamped.is_stale(now_ns=0, max_age_ns=10**12)
-
-
-def test_stale_map_warns_but_still_plans():
-    from repro.fleet import StalePlacementWarning
-
-    placement = PlacementMap(_placements("k", [("a", 0, "cold")]), learned_at_ns=0)
-    planner = RolloutPlanner(max_placement_age_ns=100)
-    with pytest.warns(StalePlacementWarning, match="stale"):
-        plan = planner.plan("p", placement, now_ns=5_000)
-    assert plan.kernels() == ["k"]  # warned, not refused
-
-
-def test_fresh_or_unconfigured_map_does_not_warn():
-    import warnings as warnings_mod
-
-    placement = PlacementMap(_placements("k", [("a", 0, "cold")]), learned_at_ns=0)
-    with warnings_mod.catch_warnings():
-        warnings_mod.simplefilter("error")
-        # Within the bound: no warning.
-        RolloutPlanner(max_placement_age_ns=10_000).plan("p", placement, now_ns=50)
-        # No bound configured, or no clock supplied: staleness is not
-        # checked (the planner cannot invent a now).
-        RolloutPlanner().plan("p", placement, now_ns=10**15)
-        RolloutPlanner(max_placement_age_ns=1).plan("p", placement)
-
-
-# ----------------------------------------------------------------------
-# Drift + drift-triggered refresh (hysteresis)
-# ----------------------------------------------------------------------
-def test_drift_is_zero_for_identical_and_empty_maps():
-    a = _map({"k0": [("a", 0, "hot"), ("b", 1, "cold")]})
-    b = _map({"k0": [("a", 0, "hot"), ("b", 1, "cold")]})
-    assert a.drift(b) == 0.0
-    assert PlacementMap([]).drift(PlacementMap([])) == 0.0
-
-
-def test_drift_weighs_changes_by_the_heavier_class():
-    before = _map({"k0": [("a", 0, "hot"), ("b", 1, "cold")]})
-    # "a" unchanged (weight 4); "b" went cold -> warm, which counts at
-    # the heavier of its two weights (2).
-    after = _map({"k0": [("a", 0, "hot"), ("b", 1, "warm")]})
-    assert before.drift(after) == pytest.approx(2 / 6)
-    # Drift is symmetric: the heavier weight wins from either side.
-    assert after.drift(before) == pytest.approx(2 / 6)
-
-
-def test_drift_counts_socket_moves_and_one_sided_entries():
-    before = _map({"k0": [("a", 0, "cold"), ("b", 1, "cold")]})
-    # "a" moved sockets, "b" vanished: everything drifted.
-    after = _map({"k0": [("a", 1, "cold")]})
-    assert before.drift(after) == 1.0
-    # Fully disjoint maps drift by definition.
-    disjoint = _map({"k1": [("z", 0, "hot")]})
-    assert before.drift(disjoint) == 1.0
-
-
-def _scripted_refresher(monkeypatch, current, probes, **kwargs):
-    """Refresher whose learn() probes return queued maps in order."""
-    queue = list(probes)
-    calls = []
-
-    def fake_learn(fleet, selector, window_ns=200_000, hot_ratio=0.40, warm_ratio=0.05):
-        calls.append((fleet, selector, window_ns, hot_ratio, warm_ratio))
-        return queue.pop(0)
-
-    monkeypatch.setattr(PlacementMap, "learn", staticmethod(fake_learn))
-    refresher = PlacementRefresher(
-        fleet="<fleet>", selector="lock.*", current=current, **kwargs
-    )
-    return refresher, calls
-
-
-def test_refresher_adopts_only_past_the_adopt_threshold(monkeypatch):
-    current = _map({"k0": [("a", 0, "hot"), ("b", 0, "hot")]})
-    same = _map({"k0": [("a", 0, "hot"), ("b", 0, "hot")]})
-    moved = _map({"k0": [("a", 1, "hot"), ("b", 0, "hot")]})  # drift 0.5
-    refresher, calls = _scripted_refresher(
-        monkeypatch,
-        current,
-        [same, moved],
-        window_ns=12_345,
-        adopt_above=0.25,
-        settle_below=0.10,
-    )
-
-    in_force, adopted = refresher.maybe_refresh()
-    assert in_force is current and not adopted
-    assert refresher.last_drift == 0.0 and refresher.adoptions == 0
-
-    in_force, adopted = refresher.maybe_refresh()
-    assert in_force is moved and adopted
-    assert refresher.current is moved
-    assert refresher.last_drift == pytest.approx(0.5)
-    assert refresher.refreshes == 2 and refresher.adoptions == 1
-    # Probes carry the refresher's own selector/window/ratios.
-    assert calls == [("<fleet>", "lock.*", 12_345, 0.40, 0.05)] * 2
-
-
-def test_refresher_disarms_after_adoption_until_drift_settles(monkeypatch):
-    def at_socket(socket):
-        return _map({"k0": [("a", socket, "hot"), ("b", 0, "hot")]})
-
-    current = at_socket(0)
-    hi1, hi2, settle, hi3 = at_socket(1), at_socket(2), at_socket(1), at_socket(3)
-    refresher, _ = _scripted_refresher(
-        monkeypatch, current, [hi1, hi2, settle, hi3],
-        adopt_above=0.25, settle_below=0.10,
-    )
-
-    assert refresher.maybe_refresh() == (hi1, True)       # armed: adopt
-    assert not refresher.armed
-    assert refresher.maybe_refresh() == (hi1, False)      # still high: no flap
-    assert not refresher.armed
-    assert refresher.maybe_refresh() == (hi1, False)      # settled: re-arm only
-    assert refresher.armed
-    assert refresher.maybe_refresh() == (hi3, True)       # genuine new excursion
-    assert refresher.refreshes == 4 and refresher.adoptions == 2
-
-
-def test_refresher_validates_the_hysteresis_band():
-    current = _map({"k0": [("a", 0, "cold")]})
-    with pytest.raises(ValueError, match="hysteresis band"):
-        PlacementRefresher(None, "*", current, adopt_above=0.1, settle_below=0.2)
-    with pytest.raises(ValueError, match="hysteresis band"):
-        PlacementRefresher(None, "*", current, adopt_above=1.5)
-    with pytest.raises(ValueError, match="hysteresis band"):
-        PlacementRefresher(None, "*", current, settle_below=-0.1)
-
-
-def test_refresher_learns_from_a_live_fleet():
-    fleet = three_kernel_fleet()
-    current = learn(fleet)
-    refresher = PlacementRefresher(
-        fleet, "svc.*.lock", current, window_ns=150_000, adopt_above=0.99
-    )
-    in_force, adopted = refresher.maybe_refresh()
-    # A steady fleet re-measured the same way should not cross a 0.99
-    # adopt threshold; the map in force is untouched.
-    assert in_force is current and not adopted
-    assert refresher.last_drift is not None and 0.0 <= refresher.last_drift < 0.99
-
-
-# ----------------------------------------------------------------------
-# Replanning the unexecuted tail
-# ----------------------------------------------------------------------
-def test_replan_keeps_done_waves_and_rewaves_the_tail():
-    placement = _map(
-        {
-            "hot": [("a", 0, "hot"), ("b", 1, "hot")],       # radius 8
-            "mild": [("a", 0, "warm")],                       # radius 2
-            "cool": [("a", 0, "cold")],                       # radius 1
-            "warm": [("a", 0, "warm"), ("b", 1, "cold")],     # radius 3
-        }
-    )
-    planner = RolloutPlanner(max_concurrent_kernels=2, canary_kernels=1, bake_ns=0)
-    plan = planner.plan("p", placement)
-    assert [w.kernels for w in plan.waves] == [["cool"], ["mild", "warm"], ["hot"]]
-
-    # The fleet moved under the rollout: "hot" cooled off, "mild" caught fire.
-    refreshed = _map(
-        {
-            "hot": [("a", 0, "cold"), ("b", 1, "cold")],      # radius 2
-            "mild": [("a", 1, "hot")],                         # radius 4
-            "cool": [("a", 0, "cold")],
-            "warm": [("a", 0, "warm"), ("b", 1, "cold")],      # radius 3
-        }
-    )
-    replan = planner.replan_remaining(plan, refreshed, next_wave_index=1)
-    # The executed canary wave is preserved verbatim; the tail re-ranks
-    # by the refreshed blast radius without minting a new canary.
-    assert replan.waves[0].kernels == ["cool"] and replan.waves[0].canary
-    assert [w.kernels for w in replan.waves[1:]] == [["hot", "warm"], ["mild"]]
-    assert [w.index for w in replan.waves] == [0, 1, 2]
-    assert not any(w.canary for w in replan.waves[1:])
-    assert replan.policy == "p"
-    assert sorted(replan.kernels()) == sorted(plan.kernels())
-
-
-def test_replan_unknown_kernel_ranks_first_and_keeps_canary_locks():
-    placement = _map(
-        {
-            "k0": [("a", 0, "cold")],
-            "k1": [("a", 0, "warm"), ("b", 0, "warm")],
-            "k2": [("a", 0, "hot")],
-        }
-    )
-    planner = RolloutPlanner(max_concurrent_kernels=1, canary_kernels=1, bake_ns=0)
-    plan = planner.plan("p", placement)
-    assert [w.kernels for w in plan.waves] == [["k0"], ["k1"], ["k2"]]
-
-    # The refreshed map no longer sees k2 at all and re-learned k1.
-    refreshed = _map({"k1": [("c", 1, "cold")]})
-    replan = planner.replan_remaining(plan, refreshed, next_wave_index=1)
-    # k2 ranks first (radius 0: nothing known at stake) and keeps its
-    # original canary locks; k1's are refreshed from the new map.
-    assert [w.kernels for w in replan.waves] == [["k0"], ["k2"], ["k1"]]
-    assert replan.canary_locks["k2"] == plan.canary_locks["k2"]
-    assert replan.canary_locks["k1"] == ["c"]
-    assert replan.canary_locks["k0"] == plan.canary_locks["k0"]
-
-
-def test_replan_preserves_verdict_mode_and_quorum():
-    placement = _map({f"k{i}": [("a", 0, "cold")] for i in range(4)})
-    planner = RolloutPlanner(
-        max_concurrent_kernels=2, verdict_mode="quorum", quorum=0.5, bake_ns=7
-    )
-    plan = planner.plan("p", placement)
-    replan = planner.replan_remaining(plan, placement, next_wave_index=2)
-    assert replan.verdict_mode == "quorum" and replan.quorum == 0.5
-    assert all(w.bake_ns == 7 for w in replan.waves)
-    # Identical map: membership survives the re-wave untouched.
-    assert sorted(replan.kernels()) == sorted(plan.kernels())
-    # And a replan round-trips the journal format like any plan.
-    assert FleetPlan.deserialize(replan.serialize()).serialize() == replan.serialize()

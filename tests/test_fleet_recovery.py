@@ -210,39 +210,37 @@ def test_recover_without_fleet_journal_is_refused():
         coord.recover(good_factory)
 
 
-def test_crash_after_replan_resumes_the_replanned_tail():
-    from repro.fleet import PlacementRefresher
-
+@pytest.mark.parametrize("compacted", [False, True], ids=["raw", "compacted"])
+def test_rerun_of_an_identical_plan_recovers_the_latest_rollout(compacted):
     fleet = journaled_fleet()
-    current = learn(fleet)
-    planner = RolloutPlanner(**PLANNER)
-    plan = planner.plan("numa-good", current)
-    refresher = PlacementRefresher(
-        fleet, "svc.*.lock", current,
-        window_ns=150_000, adopt_above=0.0, settle_below=0.0,
-    )
+    plan = RolloutPlanner(**PLANNER).plan("numa-good", learn(fleet))
     journal = PolicyJournal()
-    coord = FleetCoordinator(
-        fleet, journal=journal, refresher=refresher, planner=planner
-    )
+    first = FleetCoordinator(fleet, journal=journal)
+    done = first.execute(plan, good_factory, **ROLLOUT_KWARGS)
+    assert done.state is FleetRolloutState.COMPLETE
+    for member in fleet.members():
+        member.daemon.withdraw(first.client_id, "numa-good")
+
+    # A second coordinator starts its seq at 1 too, so its plan anchor
+    # is byte-identical to the first rollout's; it dies entering wave 1.
+    second = FleetCoordinator(fleet, journal=journal)
     fault = FaultPlan(seed=5)
-    # Wave 0 completes and its boundary refresh adopts a fresh map (the
-    # replan entry lands); the wave-1 checkpoint then kills the process.
     fault.crash(SITE_FLEET_WAVE, after=1, times=1)
     with injected(fault):
         with pytest.raises(InjectedCrash):
-            coord.execute(plan, good_factory, **ROLLOUT_KWARGS)
-    entries = [e for e in journal.entries() if e.get("kind") == "fleet"]
-    replans = [e for e in entries if e["event"] == "replan"]
-    assert len(replans) == 1
+            second.execute(plan, good_factory, **ROLLOUT_KWARGS)
+    anchors = [e for e in journal.entries() if e.get("event") == "plan"]
+    assert len(anchors) == 2 and anchors[0] == anchors[1]
+    if compacted:
+        journal.compact()
 
-    # Recovery must resume against the journaled *replanned* tail, not
-    # the original plan entry's stale wave structure.
-    fresh = FleetCoordinator(fleet, journal=journal)
-    rollout = fresh.recover(good_factory, **ROLLOUT_KWARGS)
+    # Recovery must read the second rollout's window, not the first
+    # one's "complete", and finish it.
+    rollout = FleetCoordinator(fleet, journal=journal).recover(
+        good_factory, **ROLLOUT_KWARGS
+    )
     assert rollout is not None
     assert rollout.state is FleetRolloutState.COMPLETE
     assert rollout.resumed_from_wave == 1
-    assert rollout.plan.serialize() == replans[0]["plan"]
     states = assert_not_split(fleet, "numa-good")
     assert all(s is PolicyState.ACTIVE for s in states.values())

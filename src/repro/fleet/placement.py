@@ -176,36 +176,6 @@ class PlacementMap:
         hot locks count 4, warm 2, cold 1."""
         return sum(p.weight for p in self._by_kernel.get(kernel, ()))
 
-    # ------------------------------------------------------------------
-    def serialize(self) -> List[Dict[str, object]]:
-        return [
-            {
-                "kernel": p.kernel,
-                "lock": p.lock_name,
-                "socket": p.socket,
-                "contention": p.contention,
-                "acquired": p.acquired,
-                "contended": p.contended,
-                "avg_wait_ns": round(p.avg_wait_ns, 1),
-            }
-            for p in self.placements
-        ]
-
-    @classmethod
-    def deserialize(cls, entries: Iterable[Dict[str, object]]) -> "PlacementMap":
-        return cls(
-            LockPlacement(
-                kernel=str(e["kernel"]),
-                lock_name=str(e["lock"]),
-                socket=int(e["socket"]),
-                contention=str(e["contention"]),
-                acquired=int(e.get("acquired", 0)),
-                contended=int(e.get("contended", 0)),
-                avg_wait_ns=float(e.get("avg_wait_ns", 0.0)),
-            )
-            for e in entries
-        )
-
     def describe(self) -> str:
         header = f"{'kernel':<10} {'lock':<26} {'socket':>6} {'class':>6} {'acq':>8} {'avg wait':>10}"
         rows = [header, "-" * len(header)]

@@ -32,6 +32,9 @@ from .topology import Topology
 
 __all__ = ["Cell", "CellWaiter", "CacheModel"]
 
+#: The rechecks of a write no spinner waits for, shared by every such write.
+_NO_RECHECKS = ()
+
 
 class CellWaiter:
     """A task locally spinning on a cell, waiting for a predicate."""
@@ -83,9 +86,10 @@ class CacheModel:
 
     The engine is the only caller.  Methods return ``(finish_time,
     result, rechecks)`` where *rechecks* lists ``(waiter, at_time)``
-    pairs the engine must schedule.  Costs come from the topology's
-    socket tables; a transfer counts as remote when the two sockets are
-    more than 0 hops apart.
+    pairs the engine must schedule; with no spinner on the line it is
+    one shared empty tuple, so most writes allocate no list.  Costs come
+    from the topology's socket tables; a transfer counts as remote when
+    the two sockets are more than 0 hops apart.
     """
 
     def __init__(self, topology: Topology, stats: StatsRegistry) -> None:
@@ -172,9 +176,9 @@ class CacheModel:
         which is precisely why broadcast-wakeup locks (ticket) stop
         scaling while single-successor locks (MCS) stay flat.
         """
-        rechecks = []
         if not cell.waiters:
-            return rechecks
+            return _NO_RECHECKS
+        rechecks = []
         socket = self._socket
         row = self._transfer[socket[writer_cpu]]
         k = 0
@@ -200,7 +204,7 @@ class CacheModel:
         if old == expected:
             cell.value = new
             return finish, (True, old), self._collect_rechecks(cell, cpu, finish)
-        return finish, (False, old), []
+        return finish, (False, old), _NO_RECHECKS
 
     def xchg(self, now: int, cpu: int, cell: Cell, value: Any):
         self._c_atomics.value += 1

@@ -49,6 +49,7 @@ _READY = TaskState.READY
 _SPINNING = TaskState.SPINNING
 _PARKED = TaskState.PARKED
 _DONE = TaskState.DONE
+_NEW = TaskState.NEW
 _Load = ops.Load
 _Delay = ops.Delay
 
@@ -85,7 +86,8 @@ class Engine:
         # result) for a request completion; seq is unique, so comparisons
         # never look past it.
         self._heap: List = []
-        #: Task starts spawned in (time, seq) order, kept out of the heap.
+        #: Task starts spawned in (time, seq) order, kept out of the heap:
+        #: (time, seq, task), started by the loop itself.
         self._arrivals: deque = deque()
         self._seq = 0
         self._events_processed = 0
@@ -140,20 +142,21 @@ class Engine:
         """
         if not 0 <= cpu < self.topology.nr_cpus:
             raise TaskError(f"cpu {cpu} out of range for {self.topology}")
-        task = Task(self, self._next_tid, body, cpu, name=name, priority=priority)
+        task = Task(
+            self, self._next_tid, body, cpu, name, priority, self.topology.cpu_socket[cpu]
+        )
         self._next_tid += 1
         task.spawn_time = self.now if at is None else at
         self.tasks.append(task)
         start = task.spawn_time if task.spawn_time > self.now else self.now
         self._seq += 1
-        entry = (start, self._seq, self._start_task, task)
         lane = self._arrivals
         # The newest entry has the largest seq: it sorts after the lane's
         # tail unless it starts earlier.
         if not lane or lane[-1][0] <= start:
-            lane.append(entry)
+            lane.append((start, self._seq, task))
         else:
-            heappush(self._heap, entry)
+            heappush(self._heap, (start, self._seq, self._start_task, task))
         return task
 
     def external_store(self, cell, value: Any, cpu: int = 0) -> None:
@@ -203,6 +206,7 @@ class Engine:
         heap = self._heap
         lane = self._arrivals
         resume = self._resume
+        start_task = self._start_task
         max_events = self.max_events
         self._stopped = False
         while heap or lane:
@@ -215,22 +219,25 @@ class Engine:
                     self.now = until
                     return self.now
                 entry = lane.popleft()
+                self._events_processed += 1
+                self.now = entry[0]
+                start_task(entry[2])
             else:
                 if until is not None and heap[0][0] > until:
                     self.now = until
                     return self.now
                 entry = heappop(heap)
-            self._events_processed += 1
-            self.now = entry[0]
-            fn = entry[2]
-            if fn is None:
-                resume(entry[3], entry[4])
-            else:
-                fn(entry[3])
+                self._events_processed += 1
+                self.now = entry[0]
+                fn = entry[2]
+                if fn is None:
+                    resume(entry[3], entry[4])
+                else:
+                    fn(entry[3])
             if self._stopped:
                 return self.now
         if until is None:
-            blocked = [t for t in self.tasks if not t.done and t.state is not TaskState.NEW]
+            blocked = [t for t in self.tasks if t.state is not _DONE and t.state is not _NEW]
             if blocked:
                 names = ", ".join(f"{t.name}[{t.state.value}]" for t in blocked[:12])
                 raise DeadlockError(
@@ -285,6 +292,9 @@ class Engine:
 
     def _finish_task(self, task: Task, result: Any) -> None:
         task.state = _DONE
+        # Nothing reads either after DONE; an open-loop trace keeps
+        # thousands of finished tasks in ``tasks``.
+        task.gen = task._body = None
         task.result = result
         task.finish_time = self.now
         self._c_finished.value += 1
@@ -456,26 +466,30 @@ class Engine:
         finish, _none, rechecks = self.cache.store(
             self.now, task.cpu_id, req.cell, req.value
         )
-        self._schedule_rechecks(rechecks)
+        if rechecks:
+            self._schedule_rechecks(rechecks)
         self._complete(task, None, finish)
 
     def _h_cas(self, task: Task, req: ops.CAS) -> None:
         finish, result, rechecks = self.cache.cas(
             self.now, task.cpu_id, req.cell, req.expected, req.new
         )
-        self._schedule_rechecks(rechecks)
+        if rechecks:
+            self._schedule_rechecks(rechecks)
         self._complete(task, result, finish)
 
     def _h_xchg(self, task: Task, req: ops.Xchg) -> None:
         finish, old, rechecks = self.cache.xchg(self.now, task.cpu_id, req.cell, req.value)
-        self._schedule_rechecks(rechecks)
+        if rechecks:
+            self._schedule_rechecks(rechecks)
         self._complete(task, old, finish)
 
     def _h_fetch_add(self, task: Task, req: ops.FetchAdd) -> None:
         finish, old, rechecks = self.cache.fetch_add(
             self.now, task.cpu_id, req.cell, req.delta
         )
-        self._schedule_rechecks(rechecks)
+        if rechecks:
+            self._schedule_rechecks(rechecks)
         self._complete(task, old, finish)
 
     def _schedule_rechecks(self, rechecks) -> None:

@@ -39,6 +39,10 @@ class TaskState(enum.Enum):
     DONE = "done"
 
 
+# A class-attribute lookup of an enum member costs more than a global.
+_NEW = TaskState.NEW
+
+
 class Task:
     """One simulated thread of execution."""
 
@@ -71,7 +75,7 @@ class Task:
         self.numa_node = (
             numa_node if numa_node is not None else engine.topology.socket_of(cpu_id)
         )
-        self.state = TaskState.NEW
+        self.state = _NEW
         self.gen: Optional[Generator] = None
         self._body = body
 

@@ -25,7 +25,7 @@ where the plan expected it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from ..faults.registry import SITE_TRAFFIC_PHASE_SHIFT, fault_point
 from ..kernel.core import Kernel
@@ -112,24 +112,31 @@ class TraceRunner:
         nr_cpus = kernel.topology.nr_cpus
         shifts = self._phase_shifts(tag)
         self._installed.append(tag)
+        spawn = kernel.spawn
+        # One request body per (op, phase), shared by all its events.
+        bodies: Dict[Tuple[str, str], Tuple[Callable, PhaseStats]] = {}
         for event in self.trace:
-            binding = self.bindings[event.op]
-            site = kernel.locks.get(binding.lock)
-            key = (tag, event.phase)
-            stats = self.stats.get(key)
-            if stats is None:
-                stats = self.stats[key] = PhaseStats()
+            key = (event.op, event.phase)
+            slot = bodies.get(key)
+            if slot is None:
+                slot = bodies[key] = self._body(kernel, tag, *key)
+            body, stats = slot
             stats.arrivals += 1
             at = base + max(0, event.time_ns - shifts[event.phase])
-            kernel.spawn(
-                lambda task, s=site, b=binding, st=stats: self._request(
-                    task, s, b, st
-                ),
-                cpu=event.seq % nr_cpus,
-                name=f"{tag}-req{event.seq}",
-                at=at,
-            )
+            spawn(body, event.seq % nr_cpus, f"{tag}-req{event.seq}", at=at)
         return len(self.trace)
+
+    def _body(
+        self, kernel: Kernel, tag: str, op: str, phase: str
+    ) -> Tuple[Callable, PhaseStats]:
+        """The request body for ``op`` in ``phase``, and the phase's stats."""
+        binding = self.bindings[op]
+        site = kernel.locks.get(binding.lock)
+        stats = self.stats.get((tag, phase))
+        if stats is None:
+            stats = self.stats[tag, phase] = PhaseStats()
+        request = self._request
+        return (lambda task: request(task, site, binding, stats)), stats
 
     def _request(self, task, site, binding: LockBinding, stats: PhaseStats):
         arrived = task.engine.now

@@ -10,22 +10,37 @@ trace so per-tenant attribution survives into guard evidence.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from random import Random
-from typing import Sequence, Tuple
+from typing import Any, Sequence, Tuple
 
 __all__ = ["Tenant", "TenantSet"]
 
 
-def _weighted(rng: Random, pairs: Sequence[Tuple[str, float]]) -> str:
-    """One weighted draw; cumulative scan keeps draw count fixed at 1."""
-    total = sum(w for _, w in pairs)
-    roll = rng.random() * total
+def _cumulative(weights: Sequence[float]) -> Tuple[Tuple[float, ...], float]:
+    """Running sums of ``weights`` and their total, computed once.
+
+    Both add in the order given, the total with the builtin ``sum``:
+    another order can round differently and move a draw, and with it
+    every trace a seed names (``tests/golden/traffic/traces.jsonl``).
+    """
+    sums = []
     acc = 0.0
-    for name, weight in pairs:
+    for weight in weights:
         acc += weight
-        if roll < acc:
-            return name
-    return pairs[-1][0]
+        sums.append(acc)
+    return tuple(sums), sum(weights)
+
+
+def _weighted(
+    rng: Random, items: Sequence[Any], sums: Sequence[float], total: float
+) -> Any:
+    """One weighted draw: the first item whose running sum exceeds the roll.
+
+    One ``rng.random()`` per draw, whatever the number of items.
+    """
+    i = bisect_right(sums, rng.random() * total)
+    return items[i] if i < len(items) else items[-1]
 
 
 class Tenant:
@@ -41,9 +56,11 @@ class Tenant:
         self.name = name
         self.weight = weight
         self.mix: Tuple[Tuple[str, float], ...] = tuple(mix)
+        self._ops = tuple(op for op, _ in self.mix)
+        self._sums, self._total = _cumulative([w for _, w in self.mix])
 
     def draw_op(self, rng: Random) -> str:
-        return _weighted(rng, self.mix)
+        return _weighted(rng, self._ops, self._sums, self._total)
 
     def __repr__(self) -> str:
         ops = "/".join(op for op, _ in self.mix)
@@ -60,12 +77,11 @@ class TenantSet:
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate tenant names: {names}")
         self.tenants: Tuple[Tenant, ...] = tuple(tenants)
-        self._weights = tuple((t.name, t.weight) for t in self.tenants)
-        self._by_name = {t.name: t for t in self.tenants}
+        self._sums, self._total = _cumulative([t.weight for t in self.tenants])
 
     def assign(self, rng: Random) -> Tuple[str, str]:
         """Draw ``(tenant_name, op_key)`` for one arrival."""
-        tenant = self._by_name[_weighted(rng, self._weights)]
+        tenant = _weighted(rng, self.tenants, self._sums, self._total)
         return tenant.name, tenant.draw_op(rng)
 
     def op_keys(self) -> Tuple[str, ...]:

@@ -177,7 +177,7 @@ class TestWaiters:
         model.add_waiter(cell, waiter)
         model.remove_waiter(cell, waiter)
         _f, _n, rechecks = model.store(0, cpu=0, cell=cell, value=1)
-        assert rechecks == []
+        assert rechecks == ()
 
 
 class TestEndToEndCosts:

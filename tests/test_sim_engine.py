@@ -1,5 +1,7 @@
 """Engine behaviour: time, effects, scheduling, determinism."""
 
+import weakref
+
 import pytest
 
 from repro.sim import (
@@ -390,6 +392,44 @@ class TestRunControl:
         with pytest.raises(DeadlockError) as err:
             eng.run()
         assert "stucky" in str(err.value)
+
+    def test_stop_in_a_first_step_ends_the_run_after_that_start(self):
+        eng = make_engine()
+
+        def stopper(task):
+            eng.stop()
+            yield ops.Delay(10)
+
+        def body(task):
+            yield ops.Delay(10)
+
+        # Spawned in time order, both starts wait in the arrivals lane.
+        first = eng.spawn(stopper, cpu=0, at=100)
+        second = eng.spawn(body, cpu=1, at=200)
+        assert eng.run() == 100
+        assert eng.events_processed == 1
+        assert first.state is TaskState.RUNNING
+        assert second.state is TaskState.NEW
+        # A second run carries on where the first stopped.
+        assert eng.run() == 210
+        assert first.done and second.done
+        assert eng.events_processed == 4
+
+    def test_finished_task_releases_its_generator(self):
+        eng = make_engine()
+
+        def body(task):
+            yield ops.Delay(10)
+            yield ops.Delay(10)
+
+        task = eng.spawn(body, cpu=0)
+        eng.run(until=15)
+        gen = weakref.ref(task.gen)
+        assert gen() is not None
+        eng.run()
+        assert task.done
+        assert task.gen is None
+        assert gen() is None
 
     def test_call_at_and_after(self):
         eng = make_engine()

@@ -7,6 +7,8 @@ property tests here assert exactly that — same seed ⇒ byte-identical
 JSONL — across arrival models, schedule shapes, and tenant mixes.
 """
 
+import gc
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -219,6 +221,24 @@ class TestTraceRunner:
             runner.phase_stats("burst").wait_p99()
             > 2 * runner.phase_stats("pre").wait_p99()
         )
+
+    def test_install_tracks_at_most_three_objects_per_request(self):
+        """A pending request holds its task, the task's lock list and its
+        arrivals-lane entry; the request body is shared per (op, phase)."""
+        schedule = PhaseSchedule.steady(1_000_000)
+        trace = TraceGenerator(schedule, PoissonProcess(1000.0), TENANTS, seed=3).generate()
+        runner = TraceRunner(trace, BINDINGS)
+        kernel = _kernel()
+        gc.collect()
+        gc.disable()
+        try:
+            before = len(gc.get_objects())
+            runner.install(kernel, tag="k0")
+            added = len(gc.get_objects()) - before
+        finally:
+            gc.enable()
+        assert len(trace) > 900
+        assert added <= 3 * len(trace) + 64
 
     def test_unbound_op_rejected(self):
         trace = _bursty().generate()

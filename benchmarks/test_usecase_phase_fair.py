@@ -14,7 +14,7 @@ import pytest
 from repro.concord import Concord
 from repro.kernel import Kernel
 from repro.locks import NeutralRWLock, PhaseFairRWLock
-from repro.sim import Topology, ops
+from repro.sim import Topology, ops, quantile
 
 from .conftest import DURATION_NS
 
@@ -62,13 +62,11 @@ def _run(phase_fair, seed=51):
         kernel.spawn(reader, cpu=cpu, at=rng.randint(0, 5_000))
         cpu += 1
     kernel.run(until=2 * DURATION_NS)
-    reader_latencies.sort()
-    n = len(reader_latencies)
     return {
-        "samples": n,
-        "p50": reader_latencies[n // 2],
-        "p99": reader_latencies[min(n - 1, int(n * 0.99))],
-        "max": reader_latencies[-1],
+        "samples": len(reader_latencies),
+        "p50": quantile(reader_latencies, 0.50),
+        "p99": quantile(reader_latencies, 0.99),
+        "max": max(reader_latencies),
     }
 
 

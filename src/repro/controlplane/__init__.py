@@ -58,7 +58,6 @@ from .adaptive import (
     culling_impl_factory,
     default_cull_guard,
 )
-from .baselines import BaselineGuard, LearnedBaseline, MetricBaseline, metric_value
 from .guards import (
     AGGREGATE,
     AllOf,
@@ -77,14 +76,10 @@ __all__ = [
     "AdaptationDecision",
     "AdaptationError",
     "AdaptationLoop",
-    "BaselineGuard",
     "CollapseDetector",
     "CollapseSignal",
-    "LearnedBaseline",
-    "MetricBaseline",
     "culling_impl_factory",
     "default_cull_guard",
-    "metric_value",
     "AdmissionController",
     "AdmissionError",
     "BudgetError",

@@ -274,8 +274,8 @@ class AdaptationLoop:
     Both modes walk one list of daemons (:meth:`_daemons`: ``[daemon]``,
     or the active members' daemons) to run time forward, profile,
     drain switches and roll back; a single-kernel window is the pooled
-    window of one.  Only the journal, baseline feeding and the canary
-    itself fork on the mode.
+    window of one.  Only the journal and the canary itself fork on the
+    mode.
 
     Fault points: ``adaptive.detect`` fires at the top of every pass (a
     fail skips the pass; a stall runs the kernel forward), and
@@ -323,7 +323,6 @@ class AdaptationLoop:
         #: slower than the pre-knee reference by design; re-proposing
         #: on top of an installed cull would thrash).
         self._governed: Dict[str, str] = {}
-        self.history: List[AdaptationDecision] = []
 
     # ------------------------------------------------------------------
     # Mode plumbing
@@ -359,13 +358,6 @@ class AdaptationLoop:
     # ------------------------------------------------------------------
     # The loop
     # ------------------------------------------------------------------
-    def run_once(self) -> AdaptationDecision:
-        """One full pass; returns what it decided (and appends it to
-        :attr:`history`)."""
-        decision = self._pass()
-        self.history.append(decision)
-        return decision
-
     def run(self, passes: int) -> List[AdaptationDecision]:
         """Run up to ``passes`` passes, stopping early once a proposal
         was judged (kept or rolled back)."""
@@ -377,7 +369,8 @@ class AdaptationLoop:
                 break
         return decisions
 
-    def _pass(self) -> AdaptationDecision:
+    def run_once(self) -> AdaptationDecision:
+        """One full pass; returns what it decided."""
         try:
             stall = fault_point(SITE_ADAPTIVE_DETECT, AdaptationError)
             if stall:
@@ -393,11 +386,6 @@ class AdaptationLoop:
             if signal.lock_name not in self._governed
         ]
         if not signals:
-            # Healthy window: feed the learned baselines, if the daemon
-            # keeps any (the loop is the steady trickle of trusted
-            # windows the calibration story needs).
-            if self.daemon is not None:
-                self.daemon.observe_report(report)
             return AdaptationDecision("idle", None, None, "no collapse signature")
         signal = signals[0]  # one proposal per pass: judge before more
         ref = self.detector.reference(signal.lock_name)

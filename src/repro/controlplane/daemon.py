@@ -46,7 +46,6 @@ from .lifecycle import (
     PolicyState,
     PolicySubmission,
 )
-from .baselines import LearnedBaseline
 from .guards import Guard, SLOGuard
 
 __all__ = ["Concordd"]
@@ -99,7 +98,6 @@ class Concordd:
         journal=None,
         impl_registry: Optional[Dict[str, object]] = None,
         budget: Optional[KernelBudget] = None,
-        baselines: Optional[LearnedBaseline] = None,
     ) -> None:
         self.concord = concord
         self.kernel = concord.kernel
@@ -109,7 +107,6 @@ class Concordd:
         self.canary_ns = canary_ns
         self.check_every_ns = check_every_ns
         self.journal = journal
-        self.baselines = baselines
         self.impl_registry: Dict[str, object] = dict(impl_registry or {})
         self.admission = AdmissionController(budget=budget)
         self.audit = AuditLog()
@@ -232,7 +229,7 @@ class Concordd:
         fairness composite regardless of the daemon's default)."""
         record = self.status(name)
         try:
-            result = self._rollout.run(
+            return self._rollout.run(
                 record,
                 guard if guard is not None else self.guard,
                 baseline_ns=baseline_ns if baseline_ns is not None else self.baseline_ns,
@@ -248,38 +245,6 @@ class Concordd:
             # still draining) reaches callers as the error they handle.
             # A refused install has already resolved and audited the record.
             raise ControlPlaneError(f"{name}: rollout failed ({exc})") from exc
-        self._observe_baselines(result)
-        return result
-
-    def _observe_baselines(self, record: PolicyRecord) -> None:
-        """Fold the rollout's profiling windows into the learned
-        baselines and journal the new state.  The baseline window is
-        always trusted (it profiled the pre-change system); the canary
-        window only when the rollout promoted — a rolled-back canary's
-        statistics describe the regime we just refused to keep.  Each
-        journal entry carries the *full* state, so replay (and
-        compaction) can keep only the newest one."""
-        self.observe_report(record.baseline_report)
-        if record.state is PolicyState.ACTIVE:
-            self.observe_report(record.canary_report)
-
-    def observe_report(self, report) -> int:
-        """Feed one trusted profiler window into the learned baselines
-        and journal the refreshed state (no-op without baselines; also
-        the entry point the adaptation loop uses for its healthy
-        steady-state windows)."""
-        if self.baselines is None or report is None:
-            return 0
-        updated = self.baselines.observe(report)
-        if updated and self.journal is not None and not self._replaying:
-            self.journal.append(
-                {
-                    "kind": "baseline",
-                    "ts": self.kernel.now,
-                    "state": self.baselines.serialize(),
-                }
-            )
-        return updated
 
     def withdraw(self, client_id: str, name: str) -> PolicyRecord:
         """Client-initiated retirement; tears down whatever is installed."""
@@ -575,11 +540,6 @@ class Concordd:
                     record.canary_locks = list(entry.get("canary_locks", record.canary_locks))
                     if "patches" in entry:
                         journal_patches[record.name] = entry["patches"]
-                elif kind == "baseline":
-                    # Learned guard baselines: full-state entries,
-                    # last-wins (see _observe_baselines).
-                    if self.baselines is not None:
-                        self.baselines.load(entry.get("state", {}))
         finally:
             self._replaying = False
 

@@ -6,8 +6,9 @@ patchable lock resolves through a :class:`~repro.locks.switchable`
 wrapper; this module provides the *patch objects* and the engine-side
 bookkeeping on top:
 
-* :class:`LivePatch` — a named set of implementation switches, applied
-  and reverted atomically per call site;
+* :class:`LivePatch` — a named set of implementation switches, enabled
+  all or nothing (every site is checked before any switch is
+  requested) and reverted together;
 * :class:`Patcher` — applies patches against a lock registry, tracks
   what is active, measures transition latency (request → engaged, i.e.
   the kpatch consistency-model drain), and supports rollback: the
@@ -26,26 +27,14 @@ the ablation benchmarks report.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 from ..faults import fault_point
 from ..locks.base import Lock, LockError
 from ..locks.registry import LockRegistry
 from ..locks.switchable import SwitchableLock
 
-__all__ = [
-    "PatchOp",
-    "LivePatch",
-    "Patcher",
-    "PatchError",
-    "DEFAULT_DRAIN_RETRIES",
-    "DEFAULT_DRAIN_BACKOFF_NS",
-]
-
-#: Bounded-retry defaults for the quiesce deadline (opt-in via
-#: ``enable(..., quiesce_deadline_ns=...)``).
-DEFAULT_DRAIN_RETRIES = 3
-DEFAULT_DRAIN_BACKOFF_NS = 20_000
+__all__ = ["PatchOp", "LivePatch", "Patcher", "PatchError"]
 
 
 class PatchError(LockError):
@@ -93,42 +82,30 @@ class Patcher:
         self.engine = engine
         self.registry = registry
         self.active: Dict[str, LivePatch] = {}
-        self.history: List[str] = []
 
     # ------------------------------------------------------------------
-    def enable(
-        self,
-        patch: LivePatch,
-        *,
-        quiesce_deadline_ns: Optional[int] = None,
-        max_drain_retries: int = DEFAULT_DRAIN_RETRIES,
-        drain_backoff_ns: int = DEFAULT_DRAIN_BACKOFF_NS,
-    ) -> None:
-        """Apply a patch (klp_enable_patch).
+    def enable(self, patch: LivePatch) -> None:
+        """Apply a patch (klp_enable_patch), all or nothing.
+
+        Every op is checked before any switch is requested: a lock that
+        is not a patchable call site, one still draining an earlier
+        switch, or one the patch names twice refuses the whole patch,
+        and no site changes.  Each op's factory runs just before its
+        site is checked.
 
         Implementation switches use drain semantics inside the call
         site: the swap engages once in-flight critical sections on the
-        old implementation complete;
+        old implementation complete (whenever the workload next
+        quiesces the lock);
         :attr:`SwitchableLock.core.last_switch_latency` reports the
         drain time afterwards.
-
-        With ``quiesce_deadline_ns`` set, :meth:`enable` additionally
-        *drives the engine* until every implementation switch in the
-        patch has engaged.  A drain that misses the deadline is retried
-        ``max_drain_retries`` times with exponential backoff (the
-        deadline extends by ``drain_backoff_ns * 2**attempt`` each
-        round, mirroring klp's periodic transition retry); exhausting
-        the retries reverts the patch and raises :class:`PatchError` —
-        the site is left exactly as it was before :meth:`enable`.
-        Without a deadline (the default) the drain completes whenever
-        the workload quiesces, as before.
         """
         fault_point("livepatch.enable", default_exc=PatchError, patch=patch.name)
         if patch.name in self.active:
             raise PatchError(f"patch {patch.name!r} is already enabled")
         if patch.applied:
             raise PatchError(f"patch {patch.name!r} was already applied once")
-        sites = []
+        switches: Dict[str, Tuple[SwitchableLock, Lock]] = {}
         for op in patch.ops:
             site = self.registry.get(op.lock_name)
             if not isinstance(site, SwitchableLock):
@@ -136,63 +113,18 @@ class Patcher:
                     f"lock {op.lock_name!r} is not a patchable call site "
                     f"(wrap it in SwitchableLock to annotate it)"
                 )
-            sites.append(site)
-        for op, site in zip(patch.ops, sites):
-            patch._saved_impls[op.lock_name] = site.core.impl
-            site.request_switch(op.new_impl_factory(site.core.impl))
+            new_impl = op.new_impl_factory(site.core.impl)
+            if site.core.pending_impl is not None:
+                raise LockError("a lock switch is already in progress")
+            if op.lock_name in switches:
+                raise PatchError(f"patch {patch.name!r} names lock {op.lock_name!r} twice")
+            switches[op.lock_name] = (site, new_impl)
+        for lock_name, (site, new_impl) in switches.items():
+            patch._saved_impls[lock_name] = site.core.impl
+            site.request_switch(new_impl)
         patch.applied = True
         patch.applied_at = self.engine.now
         self.active[patch.name] = patch
-        self.history.append(f"{self.engine.now}: enabled {patch.name}")
-        if quiesce_deadline_ns is not None:
-            self._await_quiesce(
-                patch, sites, quiesce_deadline_ns, max_drain_retries, drain_backoff_ns
-            )
-
-    def _await_quiesce(
-        self,
-        patch: LivePatch,
-        pending,
-        deadline_ns: int,
-        max_retries: int,
-        backoff_ns: int,
-    ) -> None:
-        """Drive the engine until the patch's impl switches engage.
-
-        Bounded: ``max_retries`` deadline extensions with exponential
-        backoff, then revert + :class:`PatchError`.
-        """
-        deadline = self.engine.now + deadline_ns
-        attempt = 0
-        while any(site.core.pending_impl is not None for site in pending):
-            if self.engine.now >= deadline:
-                attempt += 1
-                if attempt > max_retries:
-                    stuck = [
-                        site.name
-                        for site in pending
-                        if site.core.pending_impl is not None
-                    ]
-                    self.revert(patch.name)
-                    raise PatchError(
-                        f"patch {patch.name!r} failed to quiesce within "
-                        f"{deadline_ns}ns + {max_retries} retries "
-                        f"(stuck: {', '.join(stuck)}); reverted"
-                    )
-                extension = backoff_ns * (2 ** (attempt - 1))
-                deadline = self.engine.now + extension
-                self.history.append(
-                    f"{self.engine.now}: drain retry {attempt}/{max_retries} "
-                    f"for {patch.name} (+{extension}ns)"
-                )
-                # Re-kick each stuck site: a drain whose injected stall
-                # has lapsed completes here rather than waiting for the
-                # next waiter to leave.
-                for site in pending:
-                    if site.core.pending_impl is not None:
-                        site.core.maybe_complete()
-                continue
-            self.engine.run(until=deadline)
 
     def revert(self, patch_name: str) -> LivePatch:
         """Roll a patch back (klp_disable_patch).
@@ -222,21 +154,16 @@ class Patcher:
                 site.request_switch(saved)
         patch.reverted = True
         patch.reverted_at = self.engine.now
-        self.history.append(f"{self.engine.now}: reverted {patch_name}")
         return patch
 
     # ------------------------------------------------------------------
-    def switch_lock(self, lock_name: str, new_impl_factory, **drain_kwargs) -> LivePatch:
-        """Convenience: one-op patch switching a lock's implementation.
-
-        ``drain_kwargs`` pass through to :meth:`enable`
-        (``quiesce_deadline_ns`` and friends).
-        """
+    def switch_lock(self, lock_name: str, new_impl_factory) -> LivePatch:
+        """Convenience: one-op patch switching a lock's implementation."""
         patch = LivePatch(
             f"switch:{lock_name}@{self.engine.now}",
             [PatchOp(lock_name, new_impl_factory=new_impl_factory)],
         )
-        self.enable(patch, **drain_kwargs)
+        self.enable(patch)
         return patch
 
     def switch_latency(self, lock_name: str) -> Optional[int]:

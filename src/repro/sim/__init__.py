@@ -3,8 +3,10 @@
 This package is the hardware-and-kernel substrate for the reproduction:
 a NUMA machine model (:mod:`.topology`), a cache-line coherence cost
 model (:mod:`.cache`), generator-based tasks (:mod:`.task`), an event
-engine with per-CPU scheduling (:mod:`.engine`), and kernel-style wait
-primitives (:mod:`.sync`).
+engine with per-CPU scheduling (:mod:`.engine`), and the counters the
+engine and cache model publish (:mod:`.stats`).  Blocking locks sleep
+and wake through the engine's ``Park``/``Unpark`` requests
+(:mod:`.ops`).
 
 Quick example::
 
@@ -27,8 +29,7 @@ from . import ops
 from .cache import CacheModel, Cell
 from .engine import Engine
 from .errors import DeadlockError, SimError, SimLimitError, TaskError, TopologyError
-from .stats import Counter, Histogram, StatsRegistry, Summary
-from .sync import Barrier, Completion, WaitQueue
+from .stats import Counter, StatsRegistry, quantile
 from .task import Task, TaskState
 from .topology import LatencyModel, Topology, amp_machine, paper_machine
 
@@ -43,12 +44,8 @@ __all__ = [
     "TaskError",
     "TopologyError",
     "Counter",
-    "Histogram",
     "StatsRegistry",
-    "Summary",
-    "Barrier",
-    "Completion",
-    "WaitQueue",
+    "quantile",
     "Task",
     "TaskState",
     "LatencyModel",

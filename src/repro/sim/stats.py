@@ -1,18 +1,19 @@
 """Lightweight statistics primitives used across the simulator.
 
 The simulator is single-threaded, so these containers do no locking.  They
-are intentionally tiny: counters, a streaming summary, and a fixed-bucket
-histogram, plus a :class:`StatsRegistry` that groups them under dotted
-names so subsystems (cache model, scheduler, locks, BPF VM) can publish
-metrics without knowing who consumes them.
+are intentionally tiny: counters, grouped under dotted names by a
+:class:`StatsRegistry` so subsystems (cache model, scheduler) can publish
+metrics without knowing who consumes them, and :func:`quantile`, the one
+exact quantile over a list of samples.  Latency distributions the
+profiler collects live in its log2 histograms
+(:meth:`~repro.concord.profiler.LockProfile.quantile`).
 """
 
 from __future__ import annotations
 
-import math
-from typing import Dict, Iterable, List, Tuple
+from typing import Dict, Sequence
 
-__all__ = ["Counter", "Summary", "Histogram", "StatsRegistry"]
+__all__ = ["Counter", "StatsRegistry", "quantile"]
 
 
 class Counter:
@@ -36,137 +37,13 @@ class Counter:
         return f"Counter({self.value})"
 
 
-class Summary:
-    """Streaming min/max/mean/variance without storing samples.
-
-    Uses Welford's online algorithm, so it is numerically stable even for
-    the nanosecond-scale latency samples the simulator produces.
-    """
-
-    __slots__ = ("count", "total", "min", "max", "_mean", "_m2")
-
-    def __init__(self) -> None:
-        self.count = 0
-        self.total = 0.0
-        self.min = math.inf
-        self.max = -math.inf
-        self._mean = 0.0
-        self._m2 = 0.0
-
-    def observe(self, sample: float) -> None:
-        self.count += 1
-        self.total += sample
-        if sample < self.min:
-            self.min = sample
-        if sample > self.max:
-            self.max = sample
-        delta = sample - self._mean
-        self._mean += delta / self.count
-        self._m2 += delta * (sample - self._mean)
-
-    @property
-    def mean(self) -> float:
-        return self._mean if self.count else 0.0
-
-    @property
-    def variance(self) -> float:
-        return self._m2 / self.count if self.count else 0.0
-
-    @property
-    def stddev(self) -> float:
-        return math.sqrt(self.variance)
-
-    def merge(self, other: "Summary") -> None:
-        """Fold another summary into this one (parallel Welford merge)."""
-        if other.count == 0:
-            return
-        if self.count == 0:
-            self.count = other.count
-            self.total = other.total
-            self.min = other.min
-            self.max = other.max
-            self._mean = other._mean
-            self._m2 = other._m2
-            return
-        combined = self.count + other.count
-        delta = other._mean - self._mean
-        self._m2 += other._m2 + delta * delta * self.count * other.count / combined
-        self._mean += delta * other.count / combined
-        self.count = combined
-        self.total += other.total
-        self.min = min(self.min, other.min)
-        self.max = max(self.max, other.max)
-
-    def __repr__(self) -> str:
-        if not self.count:
-            return "Summary(empty)"
-        return (
-            f"Summary(n={self.count}, mean={self.mean:.1f}, "
-            f"min={self.min:.1f}, max={self.max:.1f})"
-        )
-
-
-class Histogram:
-    """Histogram with logarithmic buckets, suited to latency distributions.
-
-    Buckets are powers of ``base`` starting at ``lowest``; everything above
-    the final boundary lands in the overflow bucket.  Percentile lookup is
-    approximate (bucket upper bound), which is standard for latency
-    reporting (cf. HdrHistogram).
-    """
-
-    __slots__ = ("bounds", "counts", "overflow", "summary")
-
-    def __init__(self, lowest: float = 1.0, base: float = 2.0, buckets: int = 40) -> None:
-        if lowest <= 0 or base <= 1 or buckets <= 0:
-            raise ValueError("invalid histogram configuration")
-        self.bounds: List[float] = [lowest * base**i for i in range(buckets)]
-        self.counts: List[int] = [0] * buckets
-        self.overflow = 0
-        self.summary = Summary()
-
-    def observe(self, sample: float) -> None:
-        self.summary.observe(sample)
-        lo, hi = 0, len(self.bounds)
-        # Binary search for the first bound >= sample.
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if self.bounds[mid] < sample:
-                lo = mid + 1
-            else:
-                hi = mid
-        if lo == len(self.bounds):
-            self.overflow += 1
-        else:
-            self.counts[lo] += 1
-
-    @property
-    def count(self) -> int:
-        return self.summary.count
-
-    def percentile(self, p: float) -> float:
-        """Return an upper bound for the ``p``-th percentile (0 < p <= 100)."""
-        if not 0 < p <= 100:
-            raise ValueError("percentile must be in (0, 100]")
-        if self.count == 0:
-            return 0.0
-        target = math.ceil(self.count * p / 100.0)
-        seen = 0
-        for bound, count in zip(self.bounds, self.counts):
-            seen += count
-            if seen >= target:
-                return bound
-        return self.summary.max
-
-    def nonzero_buckets(self) -> Iterable[Tuple[float, int]]:
-        for bound, count in zip(self.bounds, self.counts):
-            if count:
-                yield bound, count
-        if self.overflow:
-            yield math.inf, self.overflow
-
-    def __repr__(self) -> str:
-        return f"Histogram(n={self.count}, p50~{self.percentile(50):.0f}, p99~{self.percentile(99):.0f})"
+def quantile(samples: Sequence[int], q: float) -> int:
+    """Exact ``q``-quantile: the sorted sample at index ``int(q * n)``
+    (clamped to the last one), or 0 when there are no samples."""
+    if not samples:
+        return 0
+    ordered = sorted(samples)
+    return ordered[min(len(ordered) - 1, int(q * len(ordered)))]
 
 
 class StatsRegistry:
@@ -179,8 +56,6 @@ class StatsRegistry:
 
     def __init__(self) -> None:
         self._counters: Dict[str, Counter] = {}
-        self._summaries: Dict[str, Summary] = {}
-        self._histograms: Dict[str, Histogram] = {}
 
     def counter(self, name: str) -> Counter:
         counter = self._counters.get(name)
@@ -188,33 +63,10 @@ class StatsRegistry:
             counter = self._counters[name] = Counter()
         return counter
 
-    def summary(self, name: str) -> Summary:
-        summary = self._summaries.get(name)
-        if summary is None:
-            summary = self._summaries[name] = Summary()
-        return summary
-
-    def histogram(self, name: str, **kwargs) -> Histogram:
-        histogram = self._histograms.get(name)
-        if histogram is None:
-            histogram = self._histograms[name] = Histogram(**kwargs)
-        return histogram
-
-    def snapshot(self) -> Dict[str, float]:
-        """Flat dict of every metric's headline value (for reports/tests)."""
-        out: Dict[str, float] = {}
-        for name, counter in self._counters.items():
-            out[name] = counter.value
-        for name, summary in self._summaries.items():
-            out[name + ".count"] = summary.count
-            out[name + ".mean"] = summary.mean
-        for name, histogram in self._histograms.items():
-            out[name + ".count"] = histogram.count
-            out[name + ".p99"] = histogram.percentile(99) if histogram.count else 0.0
-        return out
+    def snapshot(self) -> Dict[str, int]:
+        """Flat dict of every counter's value (for reports/tests)."""
+        return {name: counter.value for name, counter in self._counters.items()}
 
     def reset(self) -> None:
         for counter in self._counters.values():
             counter.reset()
-        self._summaries.clear()
-        self._histograms.clear()

@@ -83,7 +83,6 @@ def fold_entries(entries: List[Dict[str, Any]]) -> List[Dict[str, Any]]:
     heartbeats: Dict[Any, Dict[str, Any]] = {}
     fleet: List[Dict[str, Any]] = []
     preserved: List[Dict[str, Any]] = []
-    baseline: Optional[Dict[str, Any]] = None
 
     for entry in entries:
         kind = entry.get("kind")
@@ -112,10 +111,6 @@ def fold_entries(entries: List[Dict[str, Any]]) -> List[Dict[str, Any]]:
             heartbeats[key] = entry
         elif kind == "fleet":
             fleet.append(entry)
-        elif kind == "baseline":
-            # Learned-baseline entries carry the full state each time:
-            # last-wins is replay-equivalent, so keep only the newest.
-            baseline = entry
         else:
             preserved.append(entry)
 
@@ -123,8 +118,6 @@ def fold_entries(entries: List[Dict[str, Any]]) -> List[Dict[str, Any]]:
     for name in policy_order:
         folded.extend(policies[name])
     folded.extend(preserved)
-    if baseline is not None:
-        folded.append(baseline)
     folded.extend(_fold_fleet(fleet))
     folded.extend(heartbeats[key] for key in heartbeat_order)
     return [dict(entry) for entry in folded]

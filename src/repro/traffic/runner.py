@@ -30,6 +30,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 from ..faults.registry import SITE_TRAFFIC_PHASE_SHIFT, fault_point
 from ..kernel.core import Kernel
 from ..sim.ops import Delay
+from ..sim.stats import quantile
 from .trace import Trace
 
 __all__ = ["LockBinding", "PhaseStats", "TraceRunner"]
@@ -52,14 +53,6 @@ class LockBinding:
     waiter_penalty_ns: int = 0
 
 
-def _quantile(samples: List[int], q: float) -> int:
-    if not samples:
-        return 0
-    ordered = sorted(samples)
-    idx = min(len(ordered) - 1, int(q * len(ordered)))
-    return ordered[idx]
-
-
 @dataclass
 class PhaseStats:
     """Replay outcomes for one (kernel, phase) pair."""
@@ -69,10 +62,10 @@ class PhaseStats:
     waits: List[int] = field(default_factory=list)
 
     def wait_p50(self) -> int:
-        return _quantile(self.waits, 0.50)
+        return quantile(self.waits, 0.50)
 
     def wait_p99(self) -> int:
-        return _quantile(self.waits, 0.99)
+        return quantile(self.waits, 0.99)
 
 
 class TraceRunner:

@@ -34,6 +34,7 @@ from typing import Any, Dict, List, Optional
 from ..kernel.core import Kernel
 from ..locks.mcs import MCSLock
 from ..sim.ops import Delay
+from ..sim.stats import quantile
 from .runner import SweepResult, Workload
 
 __all__ = ["MalthusianBench", "knee_threads"]
@@ -95,19 +96,12 @@ class MalthusianBench(Workload):
             yield Delay(rng.randint(self.think_ns // 2, (3 * self.think_ns) // 2))
 
     def extras(self, kernel: Kernel) -> Dict[str, Any]:
-        waits = sorted(self._waits)
-
-        def q(frac: float) -> int:
-            if not waits:
-                return 0
-            return waits[min(len(waits) - 1, int(frac * len(waits)))]
-
         return {
             "acquisitions": self.site.core.impl.acquisitions,
             "expected_knee": self.expected_knee(),
             "peak_inflight": self.peak_inflight,
-            "wait_p50_ns": q(0.50),
-            "wait_p99_ns": q(0.99),
+            "wait_p50_ns": quantile(self._waits, 0.50),
+            "wait_p99_ns": quantile(self._waits, 0.99),
         }
 
 

@@ -23,6 +23,7 @@ from ..concord.policies.inheritance import make_inheritance_policy
 from ..kernel.core import Kernel
 from ..kernel.vfs import VFS
 from ..sim.ops import Delay
+from ..sim.stats import quantile
 from .runner import Workload
 
 __all__ = ["RenameBench", "MODES"]
@@ -98,9 +99,9 @@ class RenameBench(Workload):
             yield Delay(rng.randint(0, _THINK_MAX_NS))
 
     def extras(self, kernel: Kernel) -> Dict[str, Any]:
-        lat = sorted(self.rename_latencies)
+        lat = self.rename_latencies
         out: Dict[str, Any] = {"renames": self.vfs.renames, "creates": self.vfs.creates}
         if lat:
-            out["rename_p50_ns"] = lat[len(lat) // 2]
-            out["rename_p99_ns"] = lat[min(len(lat) - 1, int(len(lat) * 0.99))]
+            out["rename_p50_ns"] = quantile(lat, 0.50)
+            out["rename_p99_ns"] = quantile(lat, 0.99)
         return out

@@ -4,7 +4,7 @@ import pytest
 
 from repro.kernel import Kernel
 from repro.livepatch import LivePatch, PatchError, PatchOp, Patcher, ShadowStore
-from repro.locks import MCSLock, ShflLock, TicketLock
+from repro.locks import LockError, MCSLock, ShflLock, TicketLock
 from repro.sim import Topology, ops
 
 
@@ -59,6 +59,40 @@ class TestPatcher:
         kernel.patcher.revert("combo")
         assert kernel.locks.get("a.lock").core.impl is a_impl
         assert kernel.locks.get("b.lock").core.impl is b_impl
+
+    def test_refused_multi_op_patch_switches_no_site(self, kernel):
+        """A patch is checked whole before any switch is requested: a
+        later site still draining, or a lock named twice, leaves every
+        site as it was and the patch unapplied."""
+        from repro.faults import FaultPlan, injected
+
+        kernel.add_lock("b.lock", ShflLock(kernel.engine, name="b"))
+        a_site, b_site = kernel.locks.get("a.lock"), kernel.locks.get("b.lock")
+        a_impl = a_site.core.impl
+        plan = FaultPlan()
+        plan.stall("livepatch.drain", delay_ns=10_000_000, times=1)
+        with injected(plan):
+            kernel.patcher.switch_lock("b.lock", lambda old: MCSLock(kernel.engine))
+        draining = b_site.core.pending_impl
+        assert draining is not None
+        active = dict(kernel.patcher.active)
+
+        def mcs(old):
+            return MCSLock(kernel.engine)
+
+        def ticket(old):
+            return TicketLock(kernel.engine)
+
+        combo = LivePatch("combo", [PatchOp("a.lock", mcs), PatchOp("b.lock", ticket)])
+        twice = LivePatch("twice", [PatchOp("a.lock", mcs), PatchOp("a.lock", ticket)])
+        for patch, error in ((combo, "already in progress"), (twice, "'a.lock' twice")):
+            with pytest.raises(LockError, match=error):
+                kernel.patcher.enable(patch)
+            assert a_site.core.impl is a_impl
+            assert a_site.core.pending_impl is None
+            assert b_site.core.pending_impl is draining
+            assert kernel.patcher.active == active
+            assert not patch.applied
 
     def test_patch_under_load_preserves_correctness(self, kernel):
         site = kernel.locks.get("a.lock")
@@ -155,58 +189,6 @@ class TestRevertRacingDrain:
         assert not kernel.patcher.active
         # ...and not one waiter ever entered the abandoned impl.
         assert abandoned.acquisitions == 0
-
-    def test_quiesce_deadline_bounds_a_stuck_drain(self, kernel):
-        from repro.faults import FaultPlan, injected
-
-        site = kernel.locks.get("a.lock")
-        original = site.core.impl
-        shared, expected = self._contend(kernel, site)
-        abandoned = CountingMCS(kernel.engine, name="abandoned")
-
-        plan = FaultPlan()
-        plan.stall("livepatch.drain", delay_ns=400_000, times=8)
-        with injected(plan):
-            with pytest.raises(PatchError, match="failed to quiesce"):
-                kernel.patcher.switch_lock(
-                    "a.lock",
-                    lambda old: abandoned,
-                    quiesce_deadline_ns=10_000,
-                    max_drain_retries=2,
-                    drain_backoff_ns=5_000,
-                )
-        kernel.run()
-
-        assert shared.peek() == expected
-        assert site.core.impl is original
-        assert site.core.pending_impl is None
-        assert not kernel.patcher.active
-        assert abandoned.acquisitions == 0
-        # The bounded retries left their trace in the patch history.
-        assert any("drain retry" in line for line in kernel.patcher.history)
-
-    def test_quiesce_deadline_succeeds_after_transient_stall(self, kernel):
-        from repro.faults import FaultPlan, injected
-
-        site = kernel.locks.get("a.lock")
-        shared, expected = self._contend(kernel, site)
-        target = CountingMCS(kernel.engine, name="target")
-
-        plan = FaultPlan()
-        plan.stall("livepatch.drain", delay_ns=8_000, times=2)  # transient
-        with injected(plan):
-            kernel.patcher.switch_lock(
-                "a.lock",
-                lambda old: target,
-                quiesce_deadline_ns=6_000,
-                max_drain_retries=3,
-                drain_backoff_ns=6_000,
-            )
-        assert site.core.impl is target
-        assert site.core.pending_impl is None
-        kernel.run()
-        assert shared.peek() == expected
-        assert target.acquisitions > 0
 
 
 class TestShadowStore:

@@ -8,7 +8,6 @@ from repro import locks as L
 from repro.bpf import ContextLayout, VM, Verifier, compile_policy
 from repro.locks.shfllock import ShflNode
 from repro.sim import Engine, Topology, ops
-from repro.sim.stats import Histogram, Summary
 
 # ----------------------------------------------------------------------
 # 1. Mutual exclusion under randomized schedules, for every lock family.
@@ -219,35 +218,7 @@ def test_frontend_output_always_verifies(expr):
 
 
 # ----------------------------------------------------------------------
-# 6. Statistics invariants.
-# ----------------------------------------------------------------------
-@given(samples=st.lists(st.floats(min_value=0.1, max_value=1e9), min_size=1, max_size=200))
-@settings(max_examples=50, deadline=None)
-def test_summary_matches_reference(samples):
-    summary = Summary()
-    for sample in samples:
-        summary.observe(sample)
-    assert summary.count == len(samples)
-    assert abs(summary.mean - sum(samples) / len(samples)) <= 1e-6 * max(samples)
-    assert summary.min == min(samples)
-    assert summary.max == max(samples)
-
-
-@given(samples=st.lists(st.floats(min_value=1.0, max_value=1e6), min_size=1, max_size=200))
-@settings(max_examples=50, deadline=None)
-def test_histogram_percentile_bounds(samples):
-    histogram = Histogram()
-    for sample in samples:
-        histogram.observe(sample)
-    p50 = histogram.percentile(50)
-    p100 = histogram.percentile(100)
-    assert p50 <= p100
-    # p100 is an upper bound for every sample.
-    assert p100 >= max(samples) or histogram.overflow == 0
-
-
-# ----------------------------------------------------------------------
-# 7. Determinism: identical configuration => identical final state.
+# 6. Determinism: identical configuration => identical final state.
 # ----------------------------------------------------------------------
 @given(seed=st.integers(min_value=0, max_value=1 << 30))
 @settings(max_examples=10, deadline=None)

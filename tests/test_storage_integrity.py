@@ -132,6 +132,19 @@ class TestSnapshots:
         beats = [e for e in folded if e.get("kind") == "heartbeat"]
         assert beats == [{"kind": "heartbeat", "member": "k1", "ts": 20}]
 
+    def test_fold_keeps_kinds_it_does_not_own_verbatim_and_in_order(self):
+        # No fold rule owns a legacy ``baseline`` entry either: it is
+        # kept where it was, like every other kind the fold leaves alone.
+        client = {"kind": "client", "client": "ops"}
+        unowned = [
+            {"kind": "adaptation", "event": "collapse-detected", "lock": "a"},
+            {"kind": "baseline", "ts": 1, "state": {"a": [1.0, 0.0]}},
+            {"kind": "note", "policy": "steady", "cause": "recovery"},
+            {"kind": "adaptation", "event": "cull-kept", "lock": "a"},
+            {"kind": "baseline", "ts": 2, "state": {"a": [2.0, 0.5]}},
+        ]
+        assert fold_entries([client, *unowned]) == [client, *unowned]
+
     def test_folded_digest_is_representation_independent(self):
         # The anti-entropy invariant: a site that compacted its prefix
         # and one still holding the raw records digest identically once

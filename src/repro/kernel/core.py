@@ -24,8 +24,8 @@ __all__ = ["Kernel"]
 class Kernel:
     """Engine + lock registry + livepatch, i.e. the machine being tuned."""
 
-    def __init__(self, topology: Topology, seed: int = 0, **engine_kwargs) -> None:
-        self.engine = Engine(topology, seed=seed, **engine_kwargs)
+    def __init__(self, topology: Topology, seed: int = 0) -> None:
+        self.engine = Engine(topology, seed=seed)
         self.topology = topology
         self.locks = LockRegistry()
         self.patcher = Patcher(self.engine, self.locks)

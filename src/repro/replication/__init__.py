@@ -20,7 +20,7 @@ available-copies semantics (after RepCRec):
 
 :class:`ReplicatedJournal` fronts a group with the ``PolicyJournal``
 API so daemons and coordinators replicate without knowing it, and
-:class:`SerializationLedger` adds the commit-time serialization-graph
+:class:`SerializationLedger` adds the commit-time first-committer-wins
 check that keeps concurrent fleet rollouts over overlapping locks from
 both committing (:class:`SerializationConflict` aborts exactly one).
 """

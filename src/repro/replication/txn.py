@@ -1,22 +1,17 @@
-"""Commit-time serialization-graph check for concurrent fleet rollouts.
+"""Commit-time serialization check for concurrent fleet rollouts.
 
 Two coordinators rolling out different policies over overlapping lock
 sets are two transactions writing the same variables: letting both
 commit would leave the fleet's policy state dependent on interleaving
 (which daemon's patch landed last on which lock) — exactly the
 conflicting-write anomaly snapshot isolation admits.  Following the
-RepCRec-SSI model, the ledger checks serializability **at commit time**
-by building the conflict graph over the committing transaction and
-every transaction that committed inside its window:
-
-* a concurrent write-write overlap is unserializable outright (first
-  committer wins);
-* read-write overlaps add anti-dependency edges (the reader must
-  serialize before the writer it did not observe), and the physical
-  commit order adds the opposing edges;
-* a cycle through the committing transaction aborts it — cleanly, with
-  a journaled ``txn-abort`` entry naming the conflict — and the other
-  transaction's commit stands.
+RepCRec-SSI model, the ledger checks serializability **at commit time**.
+A rollout reads and rewrites the policy state of every lock in its
+footprint, so two concurrent rollouts over overlapping footprints have
+no serial order, and the first committer wins: a transaction that
+another one with an overlapping footprint committed inside its window
+is aborted — cleanly, with a journaled ``txn-abort`` entry naming the
+conflict — and the earlier commit stands.
 
 The ledger is deliberately storage-agnostic: give it a journal (ideally
 a :class:`~repro.replication.journal.ReplicatedJournal`) and every
@@ -28,7 +23,7 @@ it just leaves the journaling to its caller (the coordinator journals a
 from __future__ import annotations
 
 import enum
-from typing import Dict, FrozenSet, Iterable, List, Optional, Set
+from typing import Dict, FrozenSet, Iterable, List, Optional
 
 from .site import ReplicationError
 
@@ -41,8 +36,8 @@ __all__ = [
 
 
 class SerializationConflict(ReplicationError):
-    """Committing this transaction would close a cycle in the
-    serialization graph; it is aborted, the earlier committer stands."""
+    """A concurrent transaction over an overlapping footprint committed
+    first; this one is aborted, the earlier committer stands."""
 
 
 class TxnStatus(enum.Enum):
@@ -57,16 +52,9 @@ class TxnStatus(enum.Enum):
 class RolloutTransaction:
     """One rollout's footprint in the ledger."""
 
-    def __init__(
-        self,
-        txn_id: str,
-        reads: FrozenSet[str],
-        writes: FrozenSet[str],
-        begin_seq: int,
-    ) -> None:
+    def __init__(self, txn_id: str, locks: FrozenSet[str], begin_seq: int) -> None:
         self.txn_id = txn_id
-        self.reads = reads
-        self.writes = writes
+        self.locks = locks
         self.begin_seq = begin_seq
         self.commit_seq: Optional[int] = None
         self.status = TxnStatus.OPEN
@@ -75,7 +63,7 @@ class RolloutTransaction:
     def __repr__(self) -> str:
         return (
             f"RolloutTransaction({self.txn_id!r}, {self.status}, "
-            f"{len(self.writes)} writes)"
+            f"{len(self.locks)} locks)"
         )
 
 
@@ -88,45 +76,41 @@ class SerializationLedger:
         self.transactions: Dict[str, RolloutTransaction] = {}
 
     # ------------------------------------------------------------------
-    def begin(
-        self,
-        txn_id: str,
-        locks: Optional[Iterable[str]] = None,
-        reads: Optional[Iterable[str]] = None,
-        writes: Optional[Iterable[str]] = None,
-    ) -> RolloutTransaction:
-        """Open a transaction over a lock footprint.
-
-        ``locks`` is shorthand for a rollout's read-modify-write set
-        (it reads current placements/policies on those locks and writes
-        new policy state to them); pass ``reads``/``writes`` separately
-        for asymmetric footprints.
-        """
+    def begin(self, txn_id: str, locks: Iterable[str]) -> RolloutTransaction:
+        """Open a transaction over a lock footprint: the locks whose
+        placements and policies the rollout reads and rewrites."""
         existing = self.transactions.get(txn_id)
         if existing is not None and existing.status is TxnStatus.OPEN:
             raise ReplicationError(f"transaction {txn_id!r} is already open")
         self._seq += 1
-        txn = RolloutTransaction(
-            txn_id,
-            reads=frozenset(reads if reads is not None else locks or ()),
-            writes=frozenset(writes if writes is not None else locks or ()),
-            begin_seq=self._seq,
-        )
+        txn = RolloutTransaction(txn_id, frozenset(locks), begin_seq=self._seq)
         self.transactions[txn_id] = txn
         self._journal("txn-begin", txn)
         return txn
 
     def commit(self, txn: RolloutTransaction) -> RolloutTransaction:
-        """Commit, or abort with :class:`SerializationConflict` if the
-        commit would close a cycle in the serialization graph."""
+        """Commit, or abort with :class:`SerializationConflict` if a
+        transaction over an overlapping footprint committed inside this
+        one's window (first committer wins)."""
         if txn.status is not TxnStatus.OPEN:
             raise ReplicationError(
                 f"transaction {txn.txn_id!r} is {txn.status}, not open"
             )
-        cycle = self._serialization_cycle(txn)
-        if cycle:
+        winner = max(
+            (
+                other.txn_id
+                for other in self.transactions.values()
+                if other.status is TxnStatus.COMMITTED
+                and other.commit_seq > txn.begin_seq
+                and other.locks & txn.locks
+            ),
+            default=None,
+        )
+        if winner is not None:
+            # The two overlapping writers order each other both ways: a
+            # cycle in the serialization graph.
             cause = (
-                f"serialization graph cycle {' -> '.join(cycle)} "
+                f"serialization graph cycle {txn.txn_id} -> {winner} -> {txn.txn_id} "
                 f"(concurrent rollouts over overlapping locks)"
             )
             txn.status = TxnStatus.ABORTED
@@ -149,47 +133,6 @@ class SerializationLedger:
         self._journal("txn-abort", txn, cause=txn.abort_cause)
 
     # ------------------------------------------------------------------
-    def _serialization_cycle(self, txn: RolloutTransaction) -> List[str]:
-        """Edges among ``txn`` and the transactions that committed
-        inside its window; returns a cycle through ``txn`` (as a list of
-        txn ids) or an empty list."""
-        concurrent = [
-            other
-            for other in self.transactions.values()
-            if other.status is TxnStatus.COMMITTED
-            and other.commit_seq is not None
-            and other.commit_seq > txn.begin_seq
-        ]
-        edges: Dict[str, Set[str]] = {txn.txn_id: set()}
-        for other in concurrent:
-            edges.setdefault(other.txn_id, set())
-            if txn.writes & other.writes:
-                # Concurrent ww: no serial order satisfies both writers.
-                edges[txn.txn_id].add(other.txn_id)
-                edges[other.txn_id].add(txn.txn_id)
-                continue
-            if txn.reads & other.writes:
-                # rw anti-dependency: txn read versions other overwrote,
-                # so txn must serialize first — against the physical
-                # commit order, which already put other first.
-                edges[txn.txn_id].add(other.txn_id)
-                edges[other.txn_id].add(txn.txn_id)
-            elif other.reads & txn.writes:
-                edges[other.txn_id].add(txn.txn_id)
-        # DFS from txn for a path back to txn.
-        stack: List[List[str]] = [[txn.txn_id]]
-        seen: Set[str] = set()
-        while stack:
-            path = stack.pop()
-            for target in sorted(edges.get(path[-1], ())):
-                if target == txn.txn_id and len(path) > 1:
-                    return path + [target]
-                if target not in seen:
-                    seen.add(target)
-                    stack.append(path + [target])
-        return []
-
-    # ------------------------------------------------------------------
     def committed(self) -> List[RolloutTransaction]:
         return [
             t for t in self.transactions.values() if t.status is TxnStatus.COMMITTED
@@ -202,7 +145,7 @@ class SerializationLedger:
             "kind": "replication",
             "event": event,
             "txn": txn.txn_id,
-            "locks": sorted(txn.writes),
+            "locks": sorted(txn.locks),
         }
         entry.update(extra)
         try:

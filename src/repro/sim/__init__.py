@@ -3,10 +3,11 @@
 This package is the hardware-and-kernel substrate for the reproduction:
 a NUMA machine model (:mod:`.topology`), a cache-line coherence cost
 model (:mod:`.cache`), generator-based tasks (:mod:`.task`), an event
-engine with per-CPU scheduling (:mod:`.engine`), and the counters the
-engine and cache model publish (:mod:`.stats`).  Blocking locks sleep
-and wake through the engine's ``Park``/``Unpark`` requests
-(:mod:`.ops`).
+engine with per-CPU run queues (:mod:`.engine`, :mod:`.scheduler`), and
+the counters the engine and cache model publish (:mod:`.stats`).  A
+task keeps its CPU until it parks or finishes; blocking locks sleep and
+wake through the engine's ``Park``/``Unpark`` requests (:mod:`.ops`),
+and a frozen CPU models a preempted vCPU.
 
 Quick example::
 

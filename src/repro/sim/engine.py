@@ -19,12 +19,13 @@ would give.
 Scheduling model (see DESIGN.md §3):
 
 * a task is pinned to one CPU; at most one task occupies a CPU;
-* computation, memory traffic, and local spinning all occupy the CPU;
-* parking releases the CPU to the next runnable task;
-* CPUs can be *frozen* for a period (vCPU preemption by a hypervisor);
-* an optional preemption quantum forces the running task off the CPU
-  when equal-or-higher-priority work is waiting, and wake-ups of
-  higher-priority tasks preempt lower-priority occupants.
+* a task keeps its CPU until it parks or finishes: computation, memory
+  traffic and local spinning all occupy it;
+* runnable tasks wait in the CPU's priority-then-FIFO run queue, and a
+  park or a finish hands the CPU to the head of that queue;
+* CPUs can be *frozen* for a period (vCPU preemption by a hypervisor):
+  completions, wake-ups, dispatches and starts on a frozen CPU wait for
+  the thaw.
 """
 
 from __future__ import annotations
@@ -55,20 +56,21 @@ _Delay = ops.Delay
 
 # Cost (ns) of a park fast path that consumes a pending token (no syscall).
 _PARK_FASTPATH_NS = 30
-# Cost (ns) of a voluntary yield when the run queue is empty.
-_YIELD_NOOP_NS = 80
 
 
 class Engine:
-    """Event loop, scheduler, and effect interpreter for one machine."""
+    """Event loop, run-to-park scheduler, and effect interpreter for one
+    machine.
+
+    A task runs on its CPU until it parks or finishes; nothing takes the
+    CPU from it but a freeze, which stalls the CPU as a whole.
+    """
 
     def __init__(
         self,
         topology: Topology,
         seed: int = 0,
         max_events: int = 200_000_000,
-        preemption_quantum: Optional[int] = None,
-        preemptive_priorities: bool = False,
     ) -> None:
         self.topology = topology
         self.stats = StatsRegistry()
@@ -76,8 +78,6 @@ class Engine:
         self.rng = _random.Random(seed)
         self.now = 0
         self.max_events = max_events
-        self.preemption_quantum = preemption_quantum
-        self.preemptive_priorities = preemptive_priorities
 
         self.cpus: List[CPU] = [CPU(i) for i in range(topology.nr_cpus)]
         self._speed = topology.cpu_speed
@@ -92,19 +92,15 @@ class Engine:
         self._seq = 0
         self._events_processed = 0
         self._next_tid = 1
-        self._stopped = False
 
         # Bound once: StatsRegistry.reset() zeroes counters in place.
         counter = self.stats.counter
         self._c_freezes = counter("sched.cpu_freezes")
         self._c_finished = counter("sched.tasks_finished")
-        self._c_preemptions = counter("sched.preemptions")
         self._c_switches = counter("sched.context_switches")
-        self._c_spinner_preemptions = counter("sched.spinner_preemptions")
         self._c_local_spins = counter("cache.local_spins")
         self._c_parks = counter("sched.parks")
         self._c_wakeups = counter("sched.wakeups")
-        self._c_yields = counter("sched.yields")
         self._cache_load = self.cache.load
 
         # Load and Delay are priced inline by _resume.
@@ -115,9 +111,7 @@ class Engine:
             ops.FetchAdd: self._h_fetch_add,
             ops.WaitValue: self._h_wait_value,
             ops.Park: self._h_park,
-            ops.ParkTimeout: self._h_park_timeout,
             ops.Unpark: self._h_unpark,
-            ops.YieldCPU: self._h_yield,
         }
 
     # ------------------------------------------------------------------
@@ -171,8 +165,9 @@ class Engine:
         self._schedule_rechecks(rechecks)
 
     def call_at(self, time_ns: int, fn: Callable[[], None]) -> None:
-        """Run ``fn()`` at an absolute simulated time (injection hook)."""
-        self._at(max(time_ns, self.now), self._call, fn)
+        """Run ``fn()`` at an absolute simulated time (injection hook);
+        a time in the past runs at ``now``."""
+        self._at(time_ns, self._call, fn)
 
     def call_after(self, delay_ns: int, fn: Callable[[], None]) -> None:
         self.call_at(self.now + delay_ns, fn)
@@ -208,7 +203,6 @@ class Engine:
         resume = self._resume
         start_task = self._start_task
         max_events = self.max_events
-        self._stopped = False
         while heap or lane:
             if self._events_processed >= max_events:
                 raise SimLimitError(
@@ -234,8 +228,6 @@ class Engine:
                     resume(entry[3], entry[4])
                 else:
                     fn(entry[3])
-            if self._stopped:
-                return self.now
         if until is None:
             blocked = [t for t in self.tasks if t.state is not _DONE and t.state is not _NEW]
             if blocked:
@@ -247,10 +239,6 @@ class Engine:
         elif self.now < until:
             self.now = until
         return self.now
-
-    def stop(self) -> None:
-        """Stop the run loop after the current event (used by injectors)."""
-        self._stopped = True
 
     @property
     def events_processed(self) -> int:
@@ -277,17 +265,12 @@ class Engine:
         cpu = self.cpus[task.cpu_id]
         if cpu.current is None and self.now >= cpu.frozen_until:
             cpu.current = task
-            cpu.dispatch_seq += 1
             task.state = _RUNNING
-            self._arm_quantum(cpu)
             # The first step resumes the fresh generator with None.
             self._resume(task, None)
         else:
             task.state = _READY
-            task.has_pending_value = False
             cpu.enqueue(task)
-            self._maybe_preempt_for(cpu, task)
-            self._arm_quantum(cpu)
             self._dispatch(cpu)
 
     def _finish_task(self, task: Task, result: Any) -> None:
@@ -302,9 +285,8 @@ class Engine:
 
     def _release_cpu(self, task: Task) -> None:
         cpu = self.cpus[task.cpu_id]
-        if cpu.current is task:
-            cpu.current = None
-            self._dispatch(cpu)
+        cpu.current = None
+        self._dispatch(cpu)
 
     # ------------------------------------------------------------------
     # Completion & scheduling
@@ -319,42 +301,20 @@ class Engine:
     def _resume(self, task: Task, result: Any) -> None:
         """Deliver a request's result and run the task to its next request.
 
-        The only place a task's generator is resumed.  ``Load`` and
-        ``Delay``, most of all requests, are priced right here; the rest
-        go through the handler table.
+        The only place a task's generator is resumed.  The task is
+        RUNNING and current on its CPU: it has held the CPU since the
+        request was made.  ``Load`` and ``Delay``, most of all requests,
+        are priced right here; the rest go through the handler table.
         """
         if task.state is _DONE:
             return
-        cpu = self.cpus[task.cpu_id]
         now = self.now
-        if cpu.frozen_until > now:
+        frozen_until = self.cpus[task.cpu_id].frozen_until
+        if frozen_until > now:
             # vCPU descheduled: progress resumes at thaw.
             self._seq += 1
-            heappush(self._heap, (cpu.frozen_until, self._seq, None, task, result))
+            heappush(self._heap, (frozen_until, self._seq, None, task, result))
             return
-        if cpu.current is not task:
-            # We were descheduled while the request was in flight; park the
-            # result and wait for a dispatch.
-            task.pending_value = result
-            task.has_pending_value = True
-            if task.state is not _READY:
-                task.state = _READY
-                cpu.enqueue(task)
-                self._maybe_preempt_for(cpu, task)
-                self._arm_quantum(cpu)
-            self._dispatch(cpu)
-            return
-        if task.preempt_pending and cpu.runqueue:
-            task.preempt_pending = False
-            task.pending_value = result
-            task.has_pending_value = True
-            task.state = _READY
-            cpu.current = None
-            cpu.enqueue(task)
-            self._c_preemptions.value += 1
-            self._dispatch(cpu)
-            return
-        task.state = _RUNNING
         try:
             request = task.gen.send(result)
         except StopIteration as stop:
@@ -384,80 +344,22 @@ class Engine:
             handler(task, request)
 
     def _dispatch(self, cpu: CPU) -> None:
+        """Hand an idle CPU to the head of its run queue: a fresh task
+        takes its first step, a woken one returns from its park."""
         if cpu.current is not None:
             return
         if cpu.frozen_until > self.now:
             self._at(cpu.frozen_until, self._dispatch, cpu)
             return
         nxt = cpu.pick_next()
-        if nxt is None or nxt.state is _DONE:
+        if nxt is None:
             return
         cpu.current = nxt
-        cpu.dispatch_seq += 1
-        nxt.preempt_pending = False
+        nxt.state = _RUNNING
         self._c_switches.value += 1
-        self._arm_quantum(cpu)
-        cost = self.topology.latency.context_switch
-        if nxt.has_pending_value:
-            nxt.state = _RUNNING
-            value = nxt.pending_value
-            nxt.pending_value = None
-            nxt.has_pending_value = False
-            self._complete(nxt, value, self.now + cost)
-        elif nxt._spin_waiter is not None:
-            # A spinner that was descheduled mid-WaitValue and whose cell
-            # has not fired yet: it resumes spinning, no generator step.
-            nxt.state = _SPINNING
-        else:
-            # Fresh task: first generator step receives None.
-            nxt.state = _RUNNING
-            self._complete(nxt, None, self.now + cost)
-
-    def _arm_quantum(self, cpu: CPU) -> None:
-        if self.preemption_quantum is None or not cpu.runqueue:
-            return
-        if cpu.current is None or cpu.quantum_armed_seq == cpu.dispatch_seq:
-            return
-        cpu.quantum_armed_seq = cpu.dispatch_seq
-        self._at(
-            self.now + self.preemption_quantum,
-            self._quantum_fire,
-            (cpu, cpu.current, cpu.dispatch_seq),
-        )
-
-    def _quantum_fire(self, payload) -> None:
-        cpu, task, seq = payload
-        if cpu.current is not task or cpu.dispatch_seq != seq or not cpu.runqueue:
-            return
-        if task.state is _SPINNING:
-            # A spinning waiter can be descheduled immediately: it has no
-            # in-flight completion, only (possibly) armed cell waiters.
-            self._deschedule_spinner(cpu, task)
-        else:
-            task.preempt_pending = True
-
-    def _maybe_preempt_for(self, cpu: CPU, newcomer: Task) -> None:
-        """Wake-up preemption: higher-priority arrivals evict the occupant."""
-        if not self.preemptive_priorities:
-            return
-        current = cpu.current
-        if current is None or newcomer.priority <= current.priority:
-            return
-        if current.state is _SPINNING:
-            self._deschedule_spinner(cpu, current)
-        else:
-            current.preempt_pending = True
-
-    def _deschedule_spinner(self, cpu: CPU, task: Task) -> None:
-        """Take the CPU from a task blocked in WaitValue."""
-        cpu.current = None
-        task.state = _READY
-        task.has_pending_value = False
-        # The cell waiter stays armed; if it fires while we are off-CPU the
-        # recheck path sees state READY and stores a pending value instead.
-        cpu.enqueue(task)
-        self._c_spinner_preemptions.value += 1
-        self._dispatch(cpu)
+        value = nxt.pending_value
+        nxt.pending_value = None
+        self._complete(nxt, value, self.now + self.topology.latency.context_switch)
 
     # ------------------------------------------------------------------
     # Request handlers
@@ -532,97 +434,44 @@ class Engine:
             return
         self.cache.remove_waiter(cell, waiter)
         task._spin_waiter = None
-        cpu = self.cpus[task.cpu_id]
-        if task.state is _SPINNING and cpu.current is task:
-            task.state = _RUNNING
-            self._complete(task, value, self.now)
-        else:
-            # We were descheduled mid-spin (quantum or priority preemption):
-            # deliver the value when we next get the CPU.
-            task.pending_value = value
-            task.has_pending_value = True
-            if task.state is not _READY:
-                task.state = _READY
-                cpu.enqueue(task)
-            self._dispatch(cpu)
+        # A spinner keeps its CPU: it resumes right away (or at the thaw).
+        task.state = _RUNNING
+        self._complete(task, value, self.now)
 
     # ------------------------------------------------------------------
     # Park / unpark (futex semantics)
     # ------------------------------------------------------------------
     def _h_park(self, task: Task, req: ops.Park) -> None:
-        self._park_common(task, timeout_ns=None)
-
-    def _h_park_timeout(self, task: Task, req: ops.ParkTimeout) -> None:
-        self._park_common(task, timeout_ns=req.ns)
-
-    def _park_common(self, task: Task, timeout_ns: Optional[int]) -> None:
         if task.park_token:
             task.park_token = False
             self._complete(task, True, self.now + _PARK_FASTPATH_NS)
             return
-        lat = self.topology.latency
         task.state = _PARKED
-        task.wake_epoch += 1
-        epoch = task.wake_epoch
         cpu = self.cpus[task.cpu_id]
-        if cpu.current is task:
-            cpu.current = None
-            # Park cost is paid by the CPU before the next dispatch.
-            self._at(self.now + lat.park_cost, self._dispatch, cpu)
+        cpu.current = None
+        # Park cost is paid by the CPU before the next dispatch.
+        self._at(self.now + self.topology.latency.park_cost, self._dispatch, cpu)
         self._c_parks.value += 1
-        if timeout_ns is not None:
-            self._at(self.now + timeout_ns, self._park_timeout_fire, (task, epoch))
-
-    def _park_timeout_fire(self, payload) -> None:
-        task, epoch = payload
-        if task.state is _PARKED and task.wake_epoch == epoch:
-            self._wake(task, woken=False)
 
     def _h_unpark(self, task: Task, req: ops.Unpark) -> None:
-        target = req.task
-        lat = self.topology.latency
-        self._complete(task, None, self.now + lat.wake_cost)
-        self._at(self.now, self._do_unpark, target)
-
-    def unpark_external(self, target: Task) -> None:
-        """Unpark from outside any task (injectors, hypervisor models)."""
-        self._do_unpark(target)
+        self._complete(task, None, self.now + self.topology.latency.wake_cost)
+        self._at(self.now, self._do_unpark, req.task)
 
     def _do_unpark(self, target: Task) -> None:
         if target.state is _DONE:
             return
         if target.state is _PARKED:
-            lat = self.topology.latency
-            target.wake_epoch += 1
-            self._at(self.now + lat.wake_latency, self._wake_cb, target)
+            self._at(self.now + self.topology.latency.wake_latency, self._wake, target)
         else:
             target.park_token = True
 
-    def _wake_cb(self, target: Task) -> None:
-        if target.state is _PARKED:
-            self._wake(target, woken=True)
-
-    def _wake(self, task: Task, woken: bool) -> None:
+    def _wake(self, task: Task) -> None:
+        # Two unparks of one parked task both schedule a wake; the first wins.
+        if task.state is not _PARKED:
+            return
         self._c_wakeups.value += 1
         cpu = self.cpus[task.cpu_id]
-        task.pending_value = woken
-        task.has_pending_value = True
+        task.pending_value = True
         task.state = _READY
         cpu.enqueue(task)
-        self._maybe_preempt_for(cpu, task)
-        self._arm_quantum(cpu)
-        self._dispatch(cpu)
-
-    # ------------------------------------------------------------------
-    def _h_yield(self, task: Task, req: ops.YieldCPU) -> None:
-        cpu = self.cpus[task.cpu_id]
-        if not cpu.runqueue:
-            self._complete(task, None, self.now + _YIELD_NOOP_NS)
-            return
-        task.state = _READY
-        task.pending_value = None
-        task.has_pending_value = True
-        cpu.current = None
-        cpu.enqueue(task)
-        self._c_yields.value += 1
         self._dispatch(cpu)

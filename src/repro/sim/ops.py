@@ -34,9 +34,7 @@ __all__ = [
     "FetchAdd",
     "WaitValue",
     "Park",
-    "ParkTimeout",
     "Unpark",
-    "YieldCPU",
 ]
 
 
@@ -141,15 +139,6 @@ class Park(Request):
     __slots__ = ()
 
 
-class ParkTimeout(Request):
-    """Park with a timeout.  Resumes with ``True`` if woken, ``False`` on timeout."""
-
-    __slots__ = ("ns",)
-
-    def __init__(self, ns: int) -> None:
-        self.ns = ns
-
-
 class Unpark(Request):
     """Wake ``task`` (or leave it a token if it is not parked yet)."""
 
@@ -157,9 +146,3 @@ class Unpark(Request):
 
     def __init__(self, task: "Task") -> None:
         self.task = task
-
-
-class YieldCPU(Request):
-    """Voluntarily yield the CPU to another runnable task, if any."""
-
-    __slots__ = ()

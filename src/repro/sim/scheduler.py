@@ -3,12 +3,13 @@
 The engine owns the event loop; this module owns what a CPU knows:
 which task currently occupies it, which tasks are runnable on it, and
 whether the CPU is "frozen" (the mechanism we use to model hypervisor
-vCPU preemption and forced descheduling — while frozen, nothing on the
-CPU makes progress).
+vCPU preemption — while frozen, nothing on the CPU makes progress).
 
 The run queue is strict-priority with FIFO order within a priority
 level, which is all the use-case experiments need (priority inversion,
-boosted syscall paths, background vs. foreground tasks).
+boosted syscall paths, background vs. foreground tasks).  Priority
+orders the queue only: the occupant keeps the CPU until it parks or
+finishes, whoever waits.
 """
 
 from __future__ import annotations
@@ -24,25 +25,13 @@ __all__ = ["CPU"]
 class CPU:
     """One logical CPU: a current task, a run queue, and freeze state."""
 
-    __slots__ = (
-        "cpu_id",
-        "current",
-        "runqueue",
-        "frozen_until",
-        "dispatch_seq",
-        "quantum_armed_seq",
-    )
+    __slots__ = ("cpu_id", "current", "runqueue", "frozen_until")
 
     def __init__(self, cpu_id: int) -> None:
         self.cpu_id = cpu_id
         self.current: Optional["Task"] = None
         self.runqueue: List["Task"] = []
         self.frozen_until = 0
-        #: Incremented on every dispatch; stale preemption timers compare
-        #: against it so a timer armed for a previous occupant is ignored.
-        self.dispatch_seq = 0
-        #: dispatch_seq value for which a quantum timer is already armed.
-        self.quantum_armed_seq = -1
 
     # ------------------------------------------------------------------
     def enqueue(self, task: "Task") -> None:

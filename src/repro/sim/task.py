@@ -33,7 +33,7 @@ class TaskState(enum.Enum):
 
     NEW = "new"
     RUNNING = "running"      # on its CPU (possibly inside a memory op)
-    READY = "ready"          # runnable, waiting for the CPU
+    READY = "ready"          # runnable, waiting in its CPU's run queue
     SPINNING = "spinning"    # blocked in WaitValue but occupying the CPU
     PARKED = "parked"        # descheduled, waiting for an unpark
     DONE = "done"
@@ -50,8 +50,7 @@ class Task:
     __slots__ = (
         "engine", "tid", "name", "cpu_id", "priority", "numa_node", "state", "gen", "_body",
         # futex and scheduler state
-        "park_token", "wake_epoch", "preempt_pending", "pending_value", "has_pending_value",
-        "_spin_waiter",
+        "park_token", "pending_value", "_spin_waiter",
         # bookkeeping and annotations
         "spawn_time", "finish_time", "result", "error", "tags", "held_locks", "stats",
     )
@@ -81,12 +80,11 @@ class Task:
 
         # Futex-style park/unpark state.
         self.park_token = False
-        self.wake_epoch = 0
 
         # Scheduler state.
-        self.preempt_pending = False
+        #: What the next dispatch resumes the task with: None for its
+        #: first step, True after a wake-up.
         self.pending_value: Any = None
-        self.has_pending_value = False
         #: (cell, CellWaiter) while blocked in a WaitValue spin, else None.
         self._spin_waiter = None
 

@@ -5,7 +5,6 @@
 * :mod:`.hashtable` — global-lock hash table (Figure 2c);
 * :mod:`.rename_bench` — multi-lock VFS chains (lock inheritance);
 * :mod:`.mixed_cs` — long/short critical sections (scheduler subversion);
-* :mod:`.range_lock` — address-space interval contention (Scalable Range Locks);
 * :mod:`.malthus` — collapse past a concurrency knee (Malthusian Locks);
 * :mod:`.runner` / :mod:`.report` — the measurement harness.
 """
@@ -15,7 +14,6 @@ from .lock2 import Lock2
 from .malthus import MalthusianBench, knee_threads
 from .mixed_cs import MixedCSBench
 from .page_fault import PageFault2
-from .range_lock import RangeLockBench
 from .rename_bench import RenameBench
 from .report import ascii_chart, format_normalized, format_sweep_table, normalized_series
 from .runner import RunResult, SweepResult, Workload, run_throughput, sweep
@@ -28,7 +26,6 @@ __all__ = [
     "knee_threads",
     "MixedCSBench",
     "PageFault2",
-    "RangeLockBench",
     "RenameBench",
     "ascii_chart",
     "format_normalized",

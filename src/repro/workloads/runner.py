@@ -93,12 +93,11 @@ def run_throughput(
     duration_ns: int = DEFAULT_DURATION_NS,
     warmup_ns: int = DEFAULT_WARMUP_NS,
     seed: int = 42,
-    **kernel_kwargs,
 ) -> RunResult:
     """Run one fixed-duration throughput measurement."""
     if threads > topology.nr_cpus:
         raise ValueError(f"{threads} threads > {topology.nr_cpus} cpus")
-    kernel = Kernel(topology, seed=seed, **kernel_kwargs)
+    kernel = Kernel(topology, seed=seed)
     workload.threads = threads  # visible to setup (e.g. to pre-map regions)
     workload.setup(kernel)
     base_ns = kernel.now  # setup may consume simulated time

@@ -276,21 +276,22 @@ class TestSerializationLedger:
         ledger.commit(b)
         assert len(ledger.committed()) == 2
 
-    def test_rw_antidependency_cycle_aborts(self):
+    def test_abort_names_the_greatest_overlapping_committer(self):
         ledger = SerializationLedger()
-        a = ledger.begin("a", reads=["x"], writes=["y"])
-        b = ledger.begin("b", reads=["y"], writes=["x"])
-        ledger.commit(a)
-        with pytest.raises(SerializationConflict):
-            ledger.commit(b)
-
-    def test_shared_reads_disjoint_writes_are_serializable(self):
-        ledger = SerializationLedger()
-        a = ledger.begin("a", reads=["x"], writes=["y"])
-        b = ledger.begin("b", reads=["x"], writes=["z"])
-        ledger.commit(a)
-        ledger.commit(b)
-        assert len(ledger.committed()) == 2
+        a = ledger.begin("a", locks=["x"])
+        c = ledger.begin("c", locks=["y"])
+        late = ledger.begin("late", locks=["x", "y", "z"])
+        b = ledger.begin("b", locks=["z"])
+        for txn in (a, c, b):
+            ledger.commit(txn)
+        with pytest.raises(SerializationConflict) as err:
+            ledger.commit(late)
+        cause = (
+            "serialization graph cycle late -> c -> late "
+            "(concurrent rollouts over overlapping locks)"
+        )
+        assert late.abort_cause == cause
+        assert str(err.value) == f"late: {cause}"
 
     def test_abort_is_idempotent_and_journaled(self):
         journal = ReplicaGroup("m").journal()

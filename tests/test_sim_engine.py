@@ -3,6 +3,8 @@
 import weakref
 
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from repro.sim import (
     DeadlockError,
@@ -227,53 +229,36 @@ class TestParkUnpark:
         # Token consumed without a real sleep: fast path, no wake latency.
         assert target.stats["woken_at"] < 1500
 
-    def test_park_timeout_fires(self):
-        eng = make_engine()
-
-        def sleeper(task):
-            woken = yield ops.ParkTimeout(2000)
-            task.stats["woken"] = woken
-
-        task = eng.spawn(sleeper, cpu=0)
-        eng.run()
-        assert task.stats["woken"] is False
-        assert eng.now >= 2000
-
-    def test_park_timeout_beaten_by_unpark(self):
-        eng = make_engine()
-
-        def sleeper(task):
-            woken = yield ops.ParkTimeout(50_000)
-            task.stats["woken"] = woken
-
-        def waker(task, target):
-            yield ops.Delay(100)
-            yield ops.Unpark(target)
-
-        target = eng.spawn(sleeper, cpu=0)
-        eng.spawn(lambda t: waker(t, target), cpu=1)
-        eng.run()
-        assert target.stats["woken"] is True
-        # The stale timeout event may still advance the clock at drain
-        # time; what matters is when the task actually resumed.
-        assert target.finish_time < 50_000
-
 
 class TestScheduling:
     def test_oversubscribed_cpu_round_robins(self):
-        eng = make_engine(preemption_quantum=5_000)
-        finished = []
+        """Three tasks share CPU 0 and the CPU turns over only when its
+        occupant parks or finishes: each runs all its steps in one go,
+        the queue's head takes over, and woken tasks rejoin in wake-up
+        order."""
+        eng = make_engine()
+        steps = []
 
         def body(task):
-            for _ in range(10):
-                yield ops.Delay(1_000)
-            finished.append(task.name)
+            for round_ in range(2):
+                if round_:
+                    yield ops.Park()
+                for _ in range(3):
+                    yield ops.Delay(1_000)
+                    steps.append(task.name)
 
-        for index in range(3):
-            eng.spawn(body, cpu=0, name=f"t{index}")
+        workers = [eng.spawn(body, cpu=0, name=f"t{index}") for index in range(3)]
+
+        def waker(task):
+            yield ops.Delay(20_000)  # every worker has parked by now
+            for worker in workers:
+                yield ops.Unpark(worker)
+
+        eng.spawn(waker, cpu=1)
         eng.run()
-        assert sorted(finished) == ["t0", "t1", "t2"]
-        assert eng.stats.counter("sched.preemptions").value > 0
+        assert steps == [name for name in ("t0", "t1", "t2") * 2 for _ in range(3)]
+        assert eng.stats.counter("sched.parks").value == 3
+        assert all(worker.done for worker in workers)
 
     def test_park_releases_cpu_to_peer(self):
         eng = make_engine()
@@ -338,26 +323,6 @@ class TestScheduling:
         assert [cpu.frozen_until for cpu in eng.cpus] == [0, 0, 0, 0]
         assert eng.stats.snapshot().get("sched.cpu_freezes", 0) == 0
 
-    def test_yield_cpu(self):
-        eng = make_engine()
-        order = []
-
-        def polite(task):
-            yield ops.Delay(5)  # let the peer's spawn event enqueue it
-            order.append("a1")
-            yield ops.YieldCPU()
-            order.append("a2")
-            yield ops.Delay(1)
-
-        def peer(task):
-            order.append("b")
-            yield ops.Delay(1)
-
-        eng.spawn(polite, cpu=0)
-        eng.spawn(peer, cpu=0)
-        eng.run()
-        assert order.index("b") < order.index("a2")
-
 
 class TestRunControl:
     def test_run_until_stops_midway(self):
@@ -392,28 +357,6 @@ class TestRunControl:
         with pytest.raises(DeadlockError) as err:
             eng.run()
         assert "stucky" in str(err.value)
-
-    def test_stop_in_a_first_step_ends_the_run_after_that_start(self):
-        eng = make_engine()
-
-        def stopper(task):
-            eng.stop()
-            yield ops.Delay(10)
-
-        def body(task):
-            yield ops.Delay(10)
-
-        # Spawned in time order, both starts wait in the arrivals lane.
-        first = eng.spawn(stopper, cpu=0, at=100)
-        second = eng.spawn(body, cpu=1, at=200)
-        assert eng.run() == 100
-        assert eng.events_processed == 1
-        assert first.state is TaskState.RUNNING
-        assert second.state is TaskState.NEW
-        # A second run carries on where the first stopped.
-        assert eng.run() == 210
-        assert first.done and second.done
-        assert eng.events_processed == 4
 
     def test_finished_task_releases_its_generator(self):
         eng = make_engine()
@@ -532,3 +475,138 @@ class TestDeterminism:
 
     def test_different_seed_different_trace(self):
         assert self._trace(7) != self._trace(8)
+
+
+class _RunToParkEngine(Engine):
+    """An engine that checks, as it runs, the rule its scheduler rests
+    on: a task keeps its CPU from the moment it is dispatched until it
+    parks or finishes.  So every resume and every spinner recheck finds
+    the task current on its CPU, and a CPU's resumes pass from one task
+    to another only once the first has parked or finished."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.checked_resumes = 0
+        self._last_resumed = {}
+
+    def _resume(self, task, result):
+        if task.state is not TaskState.DONE:
+            cpu = self.cpus[task.cpu_id]
+            if cpu.frozen_until <= self.now:
+                assert cpu.current is task, (task, cpu)
+                assert task.state is TaskState.RUNNING, task
+                last = self._last_resumed.get(task.cpu_id, task)
+                assert last is task or last.state in (TaskState.PARKED, TaskState.DONE), (
+                    last,
+                    task,
+                )
+                self._last_resumed[task.cpu_id] = task
+                self.checked_resumes += 1
+        super()._resume(task, result)
+
+    def _waiter_recheck(self, waiter):
+        task = waiter.task
+        if not waiter.cancelled:
+            assert task.state is TaskState.SPINNING, task
+            assert self.cpus[task.cpu_id].current is task, task
+        super()._waiter_recheck(waiter)
+
+
+_CELLS = 3
+_STEPS = st.one_of(
+    st.tuples(st.just("delay"), st.integers(0, 3_000)),
+    st.tuples(st.just("load"), st.integers(0, _CELLS - 1)),
+    st.tuples(st.just("store"), st.integers(0, _CELLS - 1), st.integers(0, 3)),
+    st.tuples(
+        st.just("cas"), st.integers(0, _CELLS - 1), st.integers(0, 3), st.integers(0, 3)
+    ),
+    st.tuples(st.just("fetch_add"), st.integers(0, _CELLS - 1), st.integers(1, 2)),
+    st.tuples(st.just("wait"), st.integers(0, _CELLS - 1), st.integers(0, 2)),
+    st.tuples(st.just("park")),
+    st.tuples(st.just("unpark"), st.integers(0, 5)),
+)
+
+
+@st.composite
+def _oversubscribed_mixes(draw):
+    """1–3 CPUs, more tasks than CPUs (each pinned, prioritised and
+    started at random), scripts over a few shared cells, and up to two
+    CPU freezes."""
+    cpus = draw(st.integers(1, 3))
+    tasks = [
+        (
+            draw(st.integers(0, cpus - 1)),
+            draw(st.integers(0, 2)),
+            draw(st.integers(0, 2_000)),
+            draw(st.lists(_STEPS, min_size=1, max_size=6)),
+        )
+        for _ in range(draw(st.integers(cpus + 1, cpus + 3)))
+    ]
+    freezes = draw(
+        st.lists(
+            st.tuples(
+                st.integers(0, cpus - 1), st.integers(0, 10_000), st.integers(0, 3_000)
+            ),
+            max_size=2,
+        )
+    )
+    return cpus, tasks, freezes
+
+
+def _script(steps, cells, tasks):
+    def body(task):
+        for step in steps:
+            kind = step[0]
+            if kind == "delay":
+                yield ops.Delay(step[1])
+            elif kind == "load":
+                yield ops.Load(cells[step[1]])
+            elif kind == "store":
+                yield ops.Store(cells[step[1]], step[2])
+            elif kind == "cas":
+                yield ops.CAS(cells[step[1]], step[2], step[3])
+            elif kind == "fetch_add":
+                yield ops.FetchAdd(cells[step[1]], step[2])
+            elif kind == "wait":
+                yield ops.WaitValue(cells[step[1]], lambda v, at_least=step[2]: v >= at_least)
+            elif kind == "park":
+                yield ops.Park()
+            else:
+                yield ops.Unpark(tasks[step[1] % len(tasks)])
+
+    return body
+
+
+class TestRunToPark:
+    @settings(max_examples=60, deadline=None)
+    @given(_oversubscribed_mixes())
+    def test_a_task_keeps_its_cpu_until_it_parks_or_finishes(self, mix):
+        cpus, specs, freezes = mix
+        eng = _RunToParkEngine(Topology(sockets=1, cores_per_socket=cpus), seed=0)
+        cells = [eng.cell(0, name=f"c{index}") for index in range(_CELLS)]
+        tasks = []
+        for cpu, priority, at, steps in specs:
+            tasks.append(
+                eng.spawn(_script(steps, cells, tasks), cpu, priority=priority, at=at)
+            )
+        for cpu, at, ns in freezes:
+            eng.call_at(at, lambda cpu=cpu, ns=ns: eng.freeze_cpu(cpu, ns))
+        try:
+            eng.run()
+        except DeadlockError as err:
+            # Allowed: a park nobody unparks, a spinner whose value never
+            # comes, or a task queued behind such a spinner, which only
+            # preemption could run.
+            stuck = {task.state for task in err.blocked_tasks}
+            event(f"deadlock: {'spinner' if TaskState.SPINNING in stuck else 'parked only'}")
+            assert stuck <= {TaskState.PARKED, TaskState.SPINNING, TaskState.READY}
+        else:
+            event("drained")
+            assert all(task.done for task in tasks)
+        assert eng.checked_resumes > 0
+        # At the drain only a spinner can hold a CPU, and only a CPU held
+        # by a spinner can leave tasks waiting in its queue.
+        for cpu in eng.cpus:
+            assert cpu.current is None or cpu.current.state is TaskState.SPINNING
+            assert not cpu.runqueue or cpu.current is not None
+            assert all(task.state is TaskState.READY for task in cpu.runqueue)

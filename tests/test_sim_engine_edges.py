@@ -1,5 +1,5 @@
-"""Remaining engine edges: stop(), external unpark, error propagation,
-run-loop bookkeeping."""
+"""Remaining engine edges: external stores, unparks of finished tasks,
+error propagation, run-loop bookkeeping."""
 
 import pytest
 
@@ -10,62 +10,7 @@ def make_engine(**kw):
     return Engine(Topology(sockets=1, cores_per_socket=4), **kw)
 
 
-class TestStop:
-    def test_stop_halts_loop_immediately(self):
-        eng = make_engine()
-
-        def forever(task):
-            while True:
-                yield ops.Delay(100)
-
-        eng.spawn(forever, cpu=0)
-        eng.call_at(5_000, eng.stop)
-        end = eng.run()
-        assert end == 5_000
-
-    def test_run_can_resume_after_stop(self):
-        eng = make_engine()
-        ticks = []
-
-        def body(task):
-            for _ in range(100):
-                yield ops.Delay(100)
-                ticks.append(task.engine.now)
-
-        eng.spawn(body, cpu=0)
-        eng.call_at(1_000, eng.stop)
-        eng.run()
-        first_count = len(ticks)
-        eng.run(until=20_000)
-        assert len(ticks) > first_count
-
-
 class TestExternalControls:
-    def test_unpark_external(self):
-        eng = make_engine()
-
-        def sleeper(task):
-            woken = yield ops.Park()
-            task.stats["woken"] = woken
-
-        target = eng.spawn(sleeper, cpu=0)
-        eng.call_at(2_000, lambda: eng.unpark_external(target))
-        eng.run()
-        assert target.stats["woken"] is True
-
-    def test_unpark_external_before_park_leaves_token(self):
-        eng = make_engine()
-
-        def sleeper(task):
-            yield ops.Delay(5_000)
-            woken = yield ops.Park()
-            task.stats["woken_at"] = task.engine.now
-
-        target = eng.spawn(sleeper, cpu=0)
-        eng.call_at(100, lambda: eng.unpark_external(target))
-        eng.run()
-        assert target.stats["woken_at"] < 6_000
-
     def test_external_store_checks_its_cpu(self):
         eng = make_engine()
         with pytest.raises(TopologyError):
@@ -77,10 +22,15 @@ class TestExternalControls:
         def quick(task):
             yield ops.Delay(10)
 
+        def waker(task):
+            yield ops.Delay(1_000)
+            yield ops.Unpark(target)
+
         target = eng.spawn(quick, cpu=0)
-        eng.call_at(1_000, lambda: eng.unpark_external(target))
+        eng.spawn(waker, cpu=1)
         eng.run()  # must not blow up
         assert target.done
+        assert not target.park_token
 
 
 class TestErrorPropagation:

@@ -7,9 +7,8 @@ final clock and the engine's ``stats.snapshot()``.  Counters that stayed
 zero are left out of the snapshot: a zero counter and an absent one say
 the same thing.  Together the configurations reach the scheduler and
 coherence paths that the scenario goldens and the benchmark digests do
-not: quantum and priority preemption, frozen CPUs, futex parking,
-yields, asymmetric speed factors, non-uniform NUMA distances, external
-stores and injected calls.
+not: frozen CPUs, futex parking, asymmetric speed factors, non-uniform
+NUMA distances, external stores and injected calls.
 
 A change to ``repro.sim`` that is meant to keep behaviour must leave
 every file matching; a deliberate behaviour change rewrites them in the
@@ -73,73 +72,6 @@ def _delays(*ns):
     return script
 
 
-def quantum_preemption():
-    """The quantum takes the CPU from running tasks and from spinners;
-    one spinner's cell fires while it is off-CPU, another is redispatched
-    still spinning."""
-    run = _Run(Engine(Topology(sockets=1, cores_per_socket=3), seed=3, preemption_quantum=2_000))
-    flag = run.engine.cell(0, name="flag")
-    late = run.engine.cell(0, name="late")
-
-    def spinner(cell, want):
-        def script(task):
-            yield ops.WaitValue(cell, lambda v: v == want)
-            yield ops.Delay(300)
-            yield ops.Load(cell)
-
-        return script
-
-    def setter(task):
-        yield ops.Delay(5_000)
-        yield ops.Store(flag, 1)
-        yield ops.Delay(15_000)
-        yield ops.Store(late, 2)
-        yield ops.Load(flag)
-
-    run.spawn(_delays(*[700] * 8), 0, "hog-a")
-    run.spawn(_delays(*[900] * 6), 0, "hog-b", at=50)
-    run.spawn(spinner(flag, 1), 1, "spin-flag")
-    run.spawn(spinner(late, 2), 1, "spin-late", at=20)
-    run.spawn(_delays(*[1_100] * 5), 1, "peer", at=100)
-    run.spawn(setter, 2, "setter")
-    run.engine.run()
-    return run.record()
-
-
-def priority_wakeup():
-    """Priority wake-ups preempt a running occupant and a spinning one."""
-    run = _Run(Engine(Topology(sockets=1, cores_per_socket=3), seed=5, preemptive_priorities=True))
-    cell = run.engine.cell(0, name="cell")
-
-    def high(task):
-        yield ops.Park()
-        yield ops.Delay(400)
-
-    def spin_low(task):
-        yield ops.WaitValue(cell, lambda v: v == 1)
-        yield ops.Delay(200)
-
-    def high_timeout(task):
-        yield ops.ParkTimeout(4_000)
-        yield ops.Store(cell, 1)
-        yield ops.Delay(500)
-
-    run.spawn(_delays(*[1_000] * 6), 0, "low")
-    high_task = run.spawn(high, 0, "high", priority=5)
-    run.spawn(spin_low, 1, "spin-low")
-    run.spawn(high_timeout, 1, "high-timeout", priority=3, at=100)
-
-    def waker(task):
-        yield ops.Delay(2_500)
-        yield ops.Unpark(high_task)
-        yield ops.Delay(100)
-
-    run.spawn(waker, 2, "waker")
-    run.spawn(_delays(300), 2, "equal", at=1_000)
-    run.engine.run()
-    return run.record()
-
-
 def freeze():
     """Frozen CPUs defer completions, wake-ups, dispatches and starts;
     overlapping freezes stack to the longest."""
@@ -176,8 +108,8 @@ def freeze():
 
 
 def park():
-    """Park/Unpark, a token left before the park, ParkTimeout fired and
-    beaten (its stale timer must not fire), external and no-op unparks."""
+    """Park/Unpark, a token left before the park, and a no-op unpark of
+    a finished task."""
     eng = Engine(Topology(sockets=1, cores_per_socket=4), seed=11)
     run = _Run(eng)
 
@@ -190,20 +122,9 @@ def park():
         yield ops.Park()
         yield ops.Delay(100)
 
-    def timeout(ns):
-        def script(task):
-            yield ops.ParkTimeout(ns)
-            yield ops.Delay(100)
-            yield ops.ParkTimeout(ns)
-
-        return script
-
     sleeper = run.spawn(parker, 0, "sleeper")
     run.spawn(_delays(300, 300, 300), 0, "neighbour", at=5)
     token_task = run.spawn(token, 1, "token")
-    run.spawn(timeout(3_000), 2, "timeout-fired")
-    beaten = run.spawn(timeout(50_000), 3, "timeout-beaten")
-    external = run.spawn(parker, 1, "external", at=6_000)
     quick = run.spawn(_delays(10), 2, "quick", at=20_000)
 
     def waker(task):
@@ -212,34 +133,11 @@ def park():
         yield ops.Delay(2_000)
         yield ops.Unpark(sleeper)
         yield ops.Delay(2_000)
-        yield ops.Unpark(beaten)
         yield ops.Delay(20_000)
         yield ops.Unpark(quick)
-        yield ops.Unpark(beaten)
 
     run.spawn(waker, 3, "waker", at=50)
-    eng.call_at(9_000, lambda: eng.unpark_external(external))
     eng.run()
-    return run.record()
-
-
-def yield_cpu():
-    """YieldCPU rotates runnable peers and is a cheap no-op when alone."""
-    run = _Run(Engine(Topology(sockets=1, cores_per_socket=2), seed=13))
-
-    def yielder(rounds):
-        def script(task):
-            for _ in range(rounds):
-                yield ops.Delay(250)
-                yield ops.YieldCPU()
-
-        return script
-
-    run.spawn(yielder(3), 0, "a")
-    run.spawn(yielder(2), 0, "b")
-    run.spawn(yielder(1), 0, "c", at=400)
-    run.spawn(yielder(3), 1, "solo")
-    run.engine.run()
     return run.record()
 
 
@@ -324,17 +222,16 @@ def external_store():
     return run.record()
 
 
-def call_at_stop():
-    """Injected calls and spawns (past times clamp to now), stop()
-    mid-run, a bounded resume, a drain, then a bound past the drain."""
+def call_at():
+    """Injected calls and spawns (past times clamp to now), a bounded
+    run, a bounded resume, a drain, then a bound past the drain."""
     eng = Engine(Topology(sockets=1, cores_per_socket=2), seed=29)
     run = _Run(eng)
     run.spawn(_delays(*[100] * 60), 0, "ticker")
     run.spawn(_delays(*[370] * 12), 1, "slow", at=30)
     eng.call_at(1_234, lambda: run.note("calls", "at"))
     eng.call_after(777, lambda: run.note("calls", "after"))
-    eng.call_at(2_500, eng.stop)
-    run.note("calls", f"stopped {eng.run()}")
+    run.note("calls", f"until {eng.run(until=2_500)}")
     eng.call_at(1_000, lambda: run.note("calls", "past"))
     run.spawn(_delays(50, 50), 1, "past", at=1_000)
     run.note("calls", f"until {eng.run(until=4_000)}")
@@ -346,15 +243,12 @@ def call_at_stop():
 CONFIGS = {
     fn.__name__: fn
     for fn in (
-        quantum_preemption,
-        priority_wakeup,
         freeze,
         park,
-        yield_cpu,
         amp_speeds,
         numa_distance,
         external_store,
-        call_at_stop,
+        call_at,
     )
 }
 

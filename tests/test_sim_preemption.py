@@ -1,47 +1,21 @@
-"""Scheduler edge paths: priority preemption, spinner descheduling,
-freezing interacting with parking — the machinery behind the vCPU and
-priority-inversion use cases."""
+"""Preemption is the hypervisor's alone: a frozen CPU stalls everything
+on it (the vCPU use case), while a task is never taken off its CPU by
+another task, whatever its priority — it keeps the CPU until it parks
+or finishes."""
 
-import pytest
-
-from repro.sim import Engine, TaskState, Topology, ops
+from repro.sim import Engine, Topology, ops
 
 
-def make_engine(**kw):
-    return Engine(Topology(sockets=1, cores_per_socket=4), **kw)
+def make_engine():
+    return Engine(Topology(sockets=1, cores_per_socket=4))
 
 
 class TestPreemptivePriorities:
-    def test_high_priority_wakeup_preempts(self):
-        eng = make_engine(preemptive_priorities=True)
-        order = []
-
-        def low(task):
-            for _ in range(20):
-                yield ops.Delay(1_000)
-            order.append("low-done")
-
-        def high(task):
-            woken = yield ops.Park()
-            order.append(("high-ran", task.engine.now))
-            yield ops.Delay(100)
-
-        low_task = eng.spawn(low, cpu=0, priority=0)
-        high_task = eng.spawn(high, cpu=0, priority=5)
-
-        def waker(task):
-            yield ops.Delay(3_000)
-            yield ops.Unpark(high_task)
-
-        eng.spawn(waker, cpu=1)
-        eng.run()
-        # high ran long before low finished its 20ms of work.
-        ran_at = [t for item, t in [x for x in order if isinstance(x, tuple)]][0]
-        assert ran_at < 15_000
-        assert eng.stats.counter("sched.preemptions").value >= 1
-
     def test_no_preemption_without_flag(self):
-        eng = make_engine(preemptive_priorities=False)
+        """Priority orders the run queue and never preempts: a
+        higher-priority task queued behind a running one, and unparked
+        while it waits, runs only once the occupant finishes."""
+        eng = make_engine()
         order = []
 
         def low(task):
@@ -63,54 +37,6 @@ class TestPreemptivePriorities:
         eng.spawn(waker, cpu=1)
         eng.run()
         assert order == ["low-done", "high-ran"]
-
-
-class TestSpinnerDescheduling:
-    def test_quantum_evicts_spinner(self):
-        """A task blocked in WaitValue (spinning) is descheduled by the
-        quantum so a runnable peer can use the CPU."""
-        eng = make_engine(preemption_quantum=2_000)
-        cell = eng.cell(0)
-        order = []
-
-        def spinner(task):
-            value = yield ops.WaitValue(cell, lambda v: v == 1)
-            order.append(("spinner-woke", task.engine.now))
-
-        def peer(task):
-            yield ops.Delay(500)
-            order.append(("peer-ran", task.engine.now))
-
-        eng.spawn(spinner, cpu=0, name="spinner")
-        eng.spawn(peer, cpu=0, name="peer", at=100)
-        eng.call_at(20_000, lambda: eng.external_store(cell, 1))
-        eng.run()
-        kinds = [k for k, _ in order]
-        assert kinds == ["peer-ran", "spinner-woke"]
-        assert eng.stats.counter("sched.spinner_preemptions").value >= 1
-
-    def test_descheduled_spinner_gets_value_on_redispatch(self):
-        """The cell can fire while the spinner is off-CPU; the value must
-        be delivered when it runs again."""
-        eng = make_engine(preemption_quantum=1_000)
-        cell = eng.cell(0)
-        result = {}
-
-        def spinner(task):
-            value = yield ops.WaitValue(cell, lambda v: v == 7)
-            result["value"] = value
-            result["at"] = task.engine.now
-
-        def hog(task):
-            for _ in range(10):
-                yield ops.Delay(2_000)
-
-        eng.spawn(spinner, cpu=0, name="spinner")
-        eng.spawn(hog, cpu=0, name="hog", at=100)
-        # Fire the cell while the hog occupies the CPU.
-        eng.call_at(5_000, lambda: eng.external_store(cell, 7))
-        eng.run()
-        assert result["value"] == 7
 
 
 class TestFreezeInteractions:

@@ -9,7 +9,6 @@ from repro.workloads import (
     MalthusianBench,
     MixedCSBench,
     PageFault2,
-    RangeLockBench,
     RenameBench,
     SimHashTable,
     knee_threads,
@@ -151,34 +150,6 @@ class TestMixedCS:
     def test_scl_mode_runs(self):
         result = run_throughput(MixedCSBench("scl"), TOPO, threads=8, **FAST)
         assert result.ops > 0
-
-
-class TestRangeLockBench:
-    def test_modes_run(self):
-        for mode in ("range", "global"):
-            result = run_throughput(RangeLockBench(mode), TOPO, threads=4, **FAST)
-            assert result.ops > 0, mode
-
-    def test_bad_mode_rejected(self):
-        with pytest.raises(ValueError):
-            RangeLockBench("nope")
-
-    def test_range_mode_outscales_global_mmap_sem(self):
-        # Disjoint per-worker intervals keep scaling under the range
-        # lock while the whole-space semaphore serializes on writers.
-        rng = run_throughput(RangeLockBench("range"), TOPO, threads=8, **FAST)
-        glb = run_throughput(RangeLockBench("global"), TOPO, threads=8, **FAST)
-        assert rng.ops_per_msec > 2.0 * glb.ops_per_msec
-
-    def test_interval_conflicts_counted(self):
-        result = run_throughput(RangeLockBench("range"), TOPO, threads=8, **FAST)
-        extras = result.extras
-        assert extras["conflicts"] > 0  # overlapping writers do collide
-        assert extras["peak_concurrency"] > 1  # ...and disjoint ops overlap
-        assert (
-            extras["read_grants"] + extras["write_grants"]
-            == extras["acquisitions"]
-        )
 
 
 class TestRangeLockSemantics:

@@ -22,6 +22,9 @@ import pytest
 from repro.sim import paper_machine
 
 RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
+#: Tables print saved paths relative to this, so a committed table reads
+#: the same in every checkout.
+REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 #: The paper's x-axis (Figure 2 sweeps 0..80; we sample it).
 PAPER_THREADS = [1, 10, 20, 40, 80]

@@ -33,7 +33,7 @@ from repro.workloads import (
     sweep,
 )
 
-from .conftest import RESULTS_DIR, run_once
+from .conftest import REPO_ROOT, RESULTS_DIR, run_once
 
 #: The bench's calibrated machine (the tests' 2x4 box, not the paper
 #: machine): the knee must sit inside the swept range.
@@ -165,7 +165,7 @@ def test_adaptive_recovery(benchmark, save_table):
         f"recovery at 8 threads: {recovery:.2f}x stock",
         f"  detect -> keep: {latency_ns} sim-ns "
         f"({kept.policy}, cap {CAP})",
-        f"  [saved to {json_path}]",
+        f"  [saved to {os.path.relpath(json_path, REPO_ROOT)}]",
     ]
     save_table("adaptive_recovery", "\n".join(lines))
 

@@ -29,7 +29,7 @@ from repro.traffic import (
     TraceRunner,
 )
 
-from .conftest import RESULTS_DIR, run_once
+from .conftest import REPO_ROOT, RESULTS_DIR, run_once
 
 #: One simulated "day": a diurnal arc with a burst spliced onto the peak.
 DAY_NS = 20_000_000
@@ -117,7 +117,7 @@ def test_traffic_replay(benchmark, save_table):
         "",
         runner.report(),
         "",
-        f"  [saved to {json_path}]",
+        f"  [saved to {os.path.relpath(json_path, REPO_ROOT)}]",
     ]
     save_table("traffic_replay", "\n".join(lines))
 

@@ -100,21 +100,26 @@ class LoadedPolicy:
         )
 
 
+def conflict(existing: PolicySpec, new: PolicySpec) -> Optional[str]:
+    """Why ``new`` cannot share a (hook, lock) chain with ``existing``
+    (one of them is exclusive, or their combiners differ); ``None``
+    when the two compose.  The one rule behind load/attach and every
+    admission check."""
+    if existing.exclusive or new.exclusive:
+        return f"{(existing if existing.exclusive else new).name!r} is exclusive"
+    if existing.combiner != new.combiner:
+        return f"they disagree on the combiner ({existing.combiner!r} vs {new.combiner!r})"
+    return None
+
+
 def check_conflicts(existing: Sequence[LoadedPolicy], new: PolicySpec, lock_name: str) -> None:
     """Raise if ``new`` cannot join the chain on (hook, lock)."""
     for policy in existing:
-        if policy.spec.exclusive or new.exclusive:
+        reason = conflict(policy.spec, new)
+        if reason is not None:
             raise PolicyConflictError(
                 f"policy {new.name!r} conflicts with {policy.name!r} on "
-                f"{new.hook}@{lock_name}: "
-                + ("existing" if policy.spec.exclusive else "new")
-                + " policy is exclusive"
-            )
-        if policy.spec.combiner != new.combiner:
-            raise PolicyConflictError(
-                f"policies {policy.name!r} and {new.name!r} disagree on the "
-                f"combiner for {new.hook}@{lock_name} "
-                f"({policy.spec.combiner!r} vs {new.combiner!r})"
+                f"{new.hook}@{lock_name}: {reason}"
             )
 
 

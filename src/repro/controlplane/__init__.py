@@ -29,10 +29,8 @@ Typical session::
 from .admission import (
     AdmissionController,
     AdmissionError,
-    BudgetError,
     CapabilityError,
     ClientCapabilities,
-    KernelBudget,
     QuotaError,
     SubmissionConflictError,
 )
@@ -66,7 +64,6 @@ from .guards import (
     FairnessGuard,
     Guard,
     GuardVerdict,
-    LockDelta,
     SLOGuard,
     TailWaitGuard,
     pool_reports,
@@ -82,10 +79,8 @@ __all__ = [
     "default_cull_guard",
     "AdmissionController",
     "AdmissionError",
-    "BudgetError",
     "CapabilityError",
     "ClientCapabilities",
-    "KernelBudget",
     "QuotaError",
     "SubmissionConflictError",
     "CanaryRollout",
@@ -109,7 +104,6 @@ __all__ = [
     "FairnessGuard",
     "Guard",
     "GuardVerdict",
-    "LockDelta",
     "SLOGuard",
     "TailWaitGuard",
     "pool_reports",

@@ -1,8 +1,8 @@
-"""Admission control: who may touch which locks, and how much.
+"""Admission control: who may touch which locks, and with what.
 
 The paper trusts "privileged userspace"; a control plane serving many
 tenants cannot.  Before a submission is verified, the admission
-controller enforces three gates:
+controller enforces three gates, in this order:
 
 * **capabilities** — each client is registered with a set of lock-name
   globs it may target; a submission whose selector reaches any lock
@@ -11,17 +11,12 @@ controller enforces three gates:
 * **quotas** — a per-client ceiling on live policies (states SUBMITTED
   through ACTIVE), so one tenant cannot exhaust hook chains or bpffs
   (:class:`QuotaError`);
-* **budgets** — kernel-wide ceilings (:class:`KernelBudget`) on the
-  total chained instructions per hook and total pinned program bytes
-  across *all* clients' live policies, so many small tenants cannot
-  together overload a hot lock path even though each is inside its own
-  quota (:class:`BudgetError`); enforced per kernel, i.e. per fleet
-  member when ``concordd`` drives a fleet;
-* **conflicts** — the submission must compose with (a) policies already
-  live on the kernel's hook chains, via the same exclusivity/combiner
-  rules :mod:`repro.concord.policy` enforces at load time, and (b)
-  other clients' *in-flight* submissions that overlap on (hook, lock) —
-  two canaries racing for the same slot is exactly the kind of
+* **conflicts** — each spec must compose, under §6's one rule
+  (:func:`repro.concord.policy.conflict`: neither is exclusive and the
+  combiners agree), with every spec it would share a (hook, lock) chain
+  with: the bundle's earlier specs, the live chain on each target lock,
+  and other clients' *in-flight* submissions that overlap on (hook,
+  lock) — two canaries racing for the same slot is exactly the kind of
   conflict the kernel-side check would only catch after the first one
   won (:class:`SubmissionConflictError`).
 
@@ -32,10 +27,10 @@ Denials are typed, carry the offending locks, and leave an audit trail
 from __future__ import annotations
 
 import fnmatch
-from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, NamedTuple, Tuple
 
 from ..concord.framework import Concord
-from ..concord.policy import PolicyConflictError, check_conflicts
+from ..concord.policy import PolicySpec, conflict
 from ..faults import fault_point
 from .lifecycle import ControlPlaneError, PolicyRecord, PolicyState
 
@@ -43,10 +38,8 @@ __all__ = [
     "AdmissionError",
     "CapabilityError",
     "QuotaError",
-    "BudgetError",
     "SubmissionConflictError",
     "ClientCapabilities",
-    "KernelBudget",
     "AdmissionController",
 ]
 
@@ -61,10 +54,6 @@ class CapabilityError(AdmissionError):
 
 class QuotaError(AdmissionError):
     """The client's live-policy quota is exhausted."""
-
-
-class BudgetError(AdmissionError):
-    """A kernel-wide admission budget would be exceeded."""
 
 
 class SubmissionConflictError(AdmissionError):
@@ -89,36 +78,15 @@ class ClientCapabilities(NamedTuple):
         )
 
 
-class KernelBudget(NamedTuple):
-    """Kernel-wide admission ceilings, shared by every client.
-
-    Per-client quotas bound *counts*; the budget bounds the aggregate
-    *weight* of what is live on one kernel.  ``None`` disables a bound.
-
-    Attributes:
-        max_hook_insns: ceiling on the total verified instructions of
-            all live policies sharing any one hook (the worst-case
-            chained work a single hook invocation can dispatch).
-        max_pinned_bytes: ceiling on the total bytes pinned in bpffs by
-            live policies (8 bytes per instruction, the BPF wire size).
-    """
-
-    max_hook_insns: Optional[int] = None
-    max_pinned_bytes: Optional[int] = None
+#: States of a record whose specs may still reach the kernel's chains.
+_IN_FLIGHT = (PolicyState.SUBMITTED, PolicyState.VERIFIED, PolicyState.CANARY)
 
 
 class AdmissionController:
-    """Stateless checks over registered capabilities + daemon records.
+    """Stateless checks over registered capabilities + daemon records."""
 
-    Args:
-        budget: optional kernel-wide :class:`KernelBudget`; checked by
-            :meth:`charge` after verification (instruction counts exist
-            only once the programs have compiled).
-    """
-
-    def __init__(self, budget: Optional[KernelBudget] = None) -> None:
+    def __init__(self) -> None:
         self._clients: Dict[str, ClientCapabilities] = {}
-        self.budget = budget
 
     # ------------------------------------------------------------------
     def register(
@@ -198,105 +166,46 @@ class AdmissionController:
                 f"{len(live)} live policies (quota {caps.max_live_policies})"
             )
 
-        self._check_bundle_conflicts(submission)
         for spec in submission.specs:
-            self._check_kernel_conflicts(concord, spec, targets)
-            self._check_inflight_conflicts(concord, records, record, spec, targets)
+            for rival, whose, lock_name in _rivals(concord, records, record, spec, targets):
+                reason = conflict(rival, spec)
+                if reason is not None:
+                    raise SubmissionConflictError(
+                        f"policy {spec.name!r} conflicts with {whose} {rival.name!r} "
+                        f"on {spec.hook}@{lock_name}: {reason}"
+                    )
         return targets
 
-    # ------------------------------------------------------------------
-    def charge(self, records: Iterable[PolicyRecord], record: PolicyRecord) -> None:
-        """Check ``record``'s verified footprint against the kernel-wide
-        budget (no-op without one).
 
-        Called by the daemon *after* verification fills the record's
-        ``insn_counts`` / ``pinned_bytes``; every other live record —
-        regardless of owner — counts against the same ceilings, which is
-        the point: per-client quotas cannot see aggregate overload.
-        """
-        if self.budget is None:
-            return
-        live = [r for r in records if r is not record and r.live]
-        if self.budget.max_hook_insns is not None:
-            for hook, insns in sorted(record.insn_counts.items()):
-                existing = sum(r.insn_counts.get(hook, 0) for r in live)
-                if existing + insns > self.budget.max_hook_insns:
-                    raise BudgetError(
-                        f"{record.name}: hook {hook!r} would carry "
-                        f"{existing + insns} chained instructions kernel-wide "
-                        f"(budget {self.budget.max_hook_insns}; "
-                        f"{existing} already live)"
-                    )
-        if self.budget.max_pinned_bytes is not None:
-            existing = sum(r.pinned_bytes for r in live)
-            if existing + record.pinned_bytes > self.budget.max_pinned_bytes:
-                raise BudgetError(
-                    f"{record.name}: pinning {record.pinned_bytes} bytes would "
-                    f"take bpffs to {existing + record.pinned_bytes} bytes "
-                    f"(budget {self.budget.max_pinned_bytes}; "
-                    f"{existing} already pinned)"
-                )
-
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _check_bundle_conflicts(submission) -> None:
-        """Specs inside one bundle must compose with each other too."""
-        by_hook: Dict[str, List] = {}
-        for spec in submission.specs:
-            for earlier in by_hook.get(spec.hook, ()):
-                if earlier.exclusive or spec.exclusive:
-                    raise SubmissionConflictError(
-                        f"{submission.name}: bundle specs {earlier.name!r} and "
-                        f"{spec.name!r} cannot share hook {spec.hook!r}: "
-                        "one is exclusive"
-                    )
-                if earlier.combiner != spec.combiner:
-                    raise SubmissionConflictError(
-                        f"{submission.name}: bundle specs {earlier.name!r} and "
-                        f"{spec.name!r} disagree on the combiner for "
-                        f"{spec.hook!r} ({earlier.combiner!r} vs {spec.combiner!r})"
-                    )
-            by_hook.setdefault(spec.hook, []).append(spec)
-
-    def _check_kernel_conflicts(self, concord, spec, targets) -> None:
-        for lock_name in targets:
-            try:
-                check_conflicts(concord.chain(lock_name, spec.hook), spec, lock_name)
-            except PolicyConflictError as exc:
-                raise SubmissionConflictError(str(exc)) from exc
-
-    def _check_inflight_conflicts(self, concord, records, record, spec, targets) -> None:
-        """Exclusivity/combiner rules against submissions that are
-        admitted but not yet (fully) on the kernel's chains."""
-        target_set = set(targets)
-        for other in records:
-            if other is record or not other.submission.specs:
-                continue
-            if other.state not in (
-                PolicyState.SUBMITTED,
-                PolicyState.VERIFIED,
-                PolicyState.CANARY,
-            ):
-                continue
-            overlap = target_set & set(
-                concord.kernel.locks.select_names(other.submission.lock_selector)
-            )
-            if not overlap:
-                continue
-            for other_spec in other.submission.specs:
-                if other_spec.hook != spec.hook:
-                    continue
-                where = f"{spec.hook}@{sorted(overlap)[0]}"
-                if spec.exclusive or other_spec.exclusive:
-                    raise SubmissionConflictError(
-                        f"{spec.name}: conflicts with in-flight submission "
-                        f"{other.name!r} ({other.client_id}) on {where}: "
-                        + ("new" if spec.exclusive else "in-flight")
-                        + " policy is exclusive"
-                    )
-                if spec.combiner != other_spec.combiner:
-                    raise SubmissionConflictError(
-                        f"{spec.name}: disagrees with in-flight submission "
-                        f"{other.name!r} on the combiner for {where} "
-                        f"({spec.combiner!r} vs {other_spec.combiner!r})"
-                    )
+def _rivals(
+    concord: Concord,
+    records: Iterable[PolicyRecord],
+    record: PolicyRecord,
+    spec: PolicySpec,
+    targets: List[str],
+) -> Iterator[Tuple[PolicySpec, str, str]]:
+    """Every spec ``spec`` would share its hook's chain with, as
+    ``(rival, whose, lock)``: the bundle's earlier specs, the live chain
+    on each target lock, and the specs of each in-flight submission
+    whose selector overlaps the targets."""
+    for earlier in record.submission.specs:
+        if earlier is spec:
+            break
+        if earlier.hook == spec.hook:
+            yield earlier, "bundled", targets[0]
+    for lock_name in targets:
+        for loaded in concord.chain(lock_name, spec.hook):
+            yield loaded.spec, "live", lock_name
+    target_set = set(targets)
+    for other in records:
+        if other is record or other.state not in _IN_FLIGHT:
+            continue
+        rivals = [s for s in other.submission.specs if s.hook == spec.hook]
+        if not rivals:
+            continue
+        overlap = target_set.intersection(
+            concord.kernel.locks.select_names(other.submission.lock_selector)
+        )
+        if overlap:
+            for rival in rivals:
+                yield rival, f"{other.client_id}'s in-flight", min(overlap)

@@ -28,7 +28,7 @@ from ..concord.framework import Concord
 from ..concord.profiler import ProfileSession, ProfilerStall
 from ..faults import fault_point
 from .lifecycle import AuditLog, LifecycleError, PolicyRecord, PolicyState
-from .guards import SLOGuard
+from .guards import Guard
 
 __all__ = ["CanaryRollout", "DEFAULT_MAX_SNAPSHOT_STALLS"]
 
@@ -66,7 +66,7 @@ class CanaryRollout:
     def run(
         self,
         record: PolicyRecord,
-        guard: SLOGuard,
+        guard: Guard,
         baseline_ns: int,
         canary_ns: int,
         canary_fraction: float = 0.5,

@@ -34,7 +34,6 @@ from .admission import (
     AdmissionError,
     CapabilityError,
     ClientCapabilities,
-    KernelBudget,
 )
 from .canary import CanaryRollout
 from .lifecycle import (
@@ -70,8 +69,8 @@ class Concordd:
 
     Args:
         concord: the framework instance the daemon drives.
-        guard: SLO guard applied to every canary (default: the paper's
-            20 % avg-wait budget).
+        guard: the guard applied to every canary (default: an
+            :class:`SLOGuard` at the paper's 20 % avg-wait budget).
         canary_fraction: share of the selector's locks that canary.
         baseline_ns / canary_ns: default measurement windows.
         check_every_ns: default mid-benchmark guard check interval
@@ -81,23 +80,18 @@ class Concordd:
             for :meth:`recover`.
         impl_registry: ``impl_name -> impl_factory`` map used to rebuild
             implementation switches from the journal on recovery.
-        budget: optional kernel-wide
-            :class:`~repro.controlplane.admission.KernelBudget` enforced
-            across every client's live policies (per fleet member when
-            the daemon is one shard of a fleet).
     """
 
     def __init__(
         self,
         concord: Concord,
-        guard: Optional[SLOGuard] = None,
+        guard: Optional[Guard] = None,
         canary_fraction: float = 0.5,
         baseline_ns: int = 400_000,
         canary_ns: int = 400_000,
         check_every_ns: Optional[int] = None,
         journal=None,
         impl_registry: Optional[Dict[str, object]] = None,
-        budget: Optional[KernelBudget] = None,
     ) -> None:
         self.concord = concord
         self.kernel = concord.kernel
@@ -108,7 +102,7 @@ class Concordd:
         self.check_every_ns = check_every_ns
         self.journal = journal
         self.impl_registry: Dict[str, object] = dict(impl_registry or {})
-        self.admission = AdmissionController(budget=budget)
+        self.admission = AdmissionController()
         self.audit = AuditLog()
         self.records: Dict[str, PolicyRecord] = {}
         self._rollout = CanaryRollout(concord, self.audit)
@@ -183,25 +177,14 @@ class Concordd:
             checks = []
             try:
                 for spec in submission.specs:
-                    program, verdict = self.concord.verify_policy(spec)
+                    _program, verdict = self.concord.verify_policy(spec)
                     checks.append(verdict.checks[1])
-                    record.insn_counts[spec.hook] = (
-                        record.insn_counts.get(spec.hook, 0) + len(program)
-                    )
-                    record.pinned_bytes += len(program) * 8
             except BPFError as exc:
                 self._reject(record, str(exc), f"verifier rejected: {exc}")
                 raise
             cause = f"verifier accepted {len(checks)} program(s): " + "; ".join(checks)
         else:
             cause = "no program to verify (livepatch-only submission)"
-        try:
-            # Kernel-wide budgets need the verified footprint, so they
-            # gate between verification and VERIFIED.
-            self.admission.charge(self.records.values(), record)
-        except AdmissionError as exc:
-            self._reject(record, str(exc), f"budget denied: {exc}")
-            raise
         record.transition(PolicyState.VERIFIED, cause, self.audit, self.kernel.now)
         return record
 

@@ -8,21 +8,22 @@ shuffling — the signal BRAVO and ShflLock both treat as first-class)
 sails straight through an average-based bound.  This module turns the
 single aggregate oracle into a family:
 
-* :class:`SLOGuard` — the original avg-wait/avg-hold regression bound
-  over the whole canary set;
-* :class:`TailWaitGuard` — per-lock p99 (any quantile) wait regression
-  via the profiler's log₂ wait histograms;
+* :class:`SLOGuard` — the original avg-wait regression bound over the
+  whole canary set;
+* :class:`TailWaitGuard` — per-lock p99 wait regression via the
+  profiler's log₂ wait histograms;
 * :class:`FairnessGuard` — per-lock, per-socket acquisition skew vs
   baseline via the profiler's per-socket counters;
 * :class:`AllOf` / :class:`AnyOf` — guard composition;
 * :func:`pool_reports` — sum per-lock evidence across fleet members so
   the coordinator can judge a wave on pooled counters.
 
-Every breach is a typed :class:`Breach` carrying per-lock attribution
-(which lock, which metric, baseline vs observed vs budget, and — for
-pooled fleet verdicts — which kernels), not a bare string.  A guard
-never acts on its own: the rollout engine decides what a breach means
-(roll back, keep watching, halt the fleet, …).
+Every guard shares one skeleton, :meth:`Guard.evaluate`, and supplies
+only its breach test.  Every breach is a typed :class:`Breach` carrying
+per-lock attribution (which lock, which metric, baseline vs observed vs
+budget, and — for pooled fleet verdicts — which kernels), not a bare
+string.  A guard never acts on its own: the rollout engine decides what
+a breach means (roll back, keep watching, halt the fleet, …).
 """
 
 from __future__ import annotations
@@ -41,7 +42,6 @@ __all__ = [
     "Breach",
     "Guard",
     "GuardVerdict",
-    "LockDelta",
     "SLOGuard",
     "TailWaitGuard",
     "FairnessGuard",
@@ -57,9 +57,14 @@ AGGREGATE = "*"
 #: (one lucky wait must not decide a tail or a skew).
 MIN_LOCK_ACQUISITIONS = 5
 
-#: Total canary acquisitions below which the fairness guard defers its
-#: verdict (not ready); the tail guard's default.
+#: Total canary acquisitions below which a guard defers its verdict
+#: (not ready), unless the guard sets its own ``min_acquisitions``.
 MIN_ACQUISITIONS = 20
+
+#: The SLO guard clamps the avg-wait baseline up to this before the
+#: relative comparison (an uncontended baseline would otherwise turn
+#: noise into infinite regressions).
+WAIT_FLOOR_NS = 50.0
 
 #: Tail guards clamp quantile baselines up to this before the relative
 #: comparison.
@@ -67,7 +72,7 @@ TAIL_FLOOR_NS = 100.0
 
 _METRIC_PHRASES = {
     "avg_wait_ns": "avg wait regressed",
-    "avg_hold_ns": "avg hold regressed",
+    "p99_wait_ns": "p99 wait regressed",
     "socket_skew": "per-socket acquisition skew grew",
 }
 
@@ -77,11 +82,10 @@ class Breach(NamedTuple):
 
     ``lock_name`` is :data:`AGGREGATE` for canary-set-wide breaches.
     ``baseline``/``observed`` are in the metric's own unit (ns for wait
-    and hold metrics, an imbalance factor for ``socket_skew``);
-    ``budget`` is the guard's threshold (relative for regressions,
-    absolute for skew).  ``kernels`` names the fleet members whose
-    pooled evidence produced the breach (empty for single-kernel
-    verdicts).
+    metrics, an imbalance factor for ``socket_skew``); ``budget`` is the
+    guard's threshold (relative for regressions, absolute for skew).
+    ``kernels`` names the fleet members whose pooled evidence produced
+    the breach (empty for single-kernel verdicts).
     """
 
     lock_name: str
@@ -95,15 +99,12 @@ class Breach(NamedTuple):
         scope = "canary locks" if self.lock_name == AGGREGATE else self.lock_name
         if self.kernels:
             scope += " [pooled: " + ", ".join(self.kernels) + "]"
-        phrase = _METRIC_PHRASES.get(self.metric)
+        phrase = _METRIC_PHRASES.get(self.metric, f"{self.metric} regressed")
         if self.metric == "socket_skew":
             return (
                 f"{scope}: {phrase} {self.baseline:.2f} -> {self.observed:.2f} "
                 f"(budget +{self.budget:.2f})"
             )
-        if phrase is None:
-            # Tail metrics are named for their quantile: p99_wait_ns.
-            phrase = f"{self.metric.split('_', 1)[0]} wait regressed"
         if self.baseline:
             rel = (self.observed - self.baseline) / self.baseline
             moved = f"{rel:+.0%}"
@@ -131,17 +132,6 @@ class Breach(NamedTuple):
         }
 
 
-class LockDelta(NamedTuple):
-    """Baseline vs canary aggregates for one lock."""
-
-    lock_name: str
-    baseline_avg_wait_ns: float
-    canary_avg_wait_ns: float
-    baseline_avg_hold_ns: float
-    canary_avg_hold_ns: float
-    canary_acquired: int
-
-
 class GuardVerdict:
     """A guard's decision plus everything needed to explain it.
 
@@ -156,14 +146,12 @@ class GuardVerdict:
         self,
         ok: bool,
         attributed: Iterable[Breach],
-        deltas: List[LockDelta],
         ready: bool,
         missing: Optional[List[str]] = None,
     ) -> None:
         self.ok = ok
         #: typed per-lock attribution of every breach
         self.attributed: List[Breach] = list(attributed)
-        self.deltas = deltas
         #: enough samples to be trusted? (mid-run snapshots start cold)
         self.ready = ready
         #: canary locks absent from the baseline report.
@@ -189,171 +177,135 @@ class GuardVerdict:
         )
 
 
-def _lock_deltas(
-    baseline: ProfileReport, canary: ProfileReport
-) -> Tuple[List[LockDelta], List[str]]:
-    """Per-lock aggregates plus the canary locks the baseline lacks."""
-    deltas: List[LockDelta] = []
-    missing: List[str] = []
-    for profile in canary.profiles:
-        before = baseline.by_name(profile.lock_name)
-        if before is None:
-            missing.append(profile.lock_name)
-            continue
-        deltas.append(
-            LockDelta(
-                lock_name=profile.lock_name,
-                baseline_avg_wait_ns=before.avg_wait_ns,
-                canary_avg_wait_ns=profile.avg_wait_ns,
-                baseline_avg_hold_ns=before.avg_hold_ns,
-                canary_avg_hold_ns=profile.avg_hold_ns,
-                canary_acquired=profile.acquired,
-            )
-        )
-    return deltas, missing
+#: (baseline, canary) profiles of one canary lock the baseline also has.
+_Pair = Tuple[LockProfile, LockProfile]
 
 
 class Guard:
-    """Base interface: compare two profiler reports, return a verdict."""
+    """Compare two profiler reports and return a verdict.
+
+    :meth:`evaluate` is the one skeleton: it pairs each canary lock with
+    its baseline profile, lists the canary locks the baseline lacks,
+    and defers (not ready) when no lock pairs or the paired canary locks
+    took fewer than :attr:`min_acquisitions`; otherwise the verdict is
+    what :meth:`breaches` finds.  A guard supplies only
+    :meth:`breaches`.
+    """
+
+    min_acquisitions: int = MIN_ACQUISITIONS
 
     def evaluate(self, baseline: ProfileReport, canary: ProfileReport) -> GuardVerdict:
+        pairs: List[_Pair] = []
+        missing: List[str] = []
+        for profile in canary.profiles:
+            before = baseline.by_name(profile.lock_name)
+            if before is None:
+                missing.append(profile.lock_name)
+            else:
+                pairs.append((before, profile))
+        if not pairs or sum(after.acquired for _b, after in pairs) < self.min_acquisitions:
+            return GuardVerdict(True, [], ready=False, missing=missing)
+        breaches = self.breaches(baseline, canary, pairs)
+        return GuardVerdict(not breaches, breaches, ready=True, missing=missing)
+
+    def breaches(
+        self, baseline: ProfileReport, canary: ProfileReport, pairs: List[_Pair]
+    ) -> List[Breach]:
+        """The guard's breach test over a ready evaluation; ``pairs`` in
+        canary-report order."""
         raise NotImplementedError
 
 
 class SLOGuard(Guard):
-    """Regression thresholds over whole-canary-set profiler averages.
+    """Avg-wait regression bound over the whole canary set.
 
     Args:
         max_avg_wait_regression: relative avg-wait-time increase across
             the canary set that trips the guard (default 0.20 — the
-            paper's Fig. 2(c) worst case).
-        max_avg_hold_regression: optional same-shaped bound on hold time
-            (a policy that inflates critical sections — Table 1's
-            hazard — trips it).
+            paper's Fig. 2(c) worst case).  The baseline is clamped up
+            to :data:`WAIT_FLOOR_NS` first.
         min_acquisitions: snapshots with fewer canary-side acquisitions
             than this are "not ready" and never trip the guard.
-        wait_floor_ns: wait baselines below this are clamped before the
-            relative comparison (an uncontended baseline would otherwise
-            turn noise into infinite regressions).
-        hold_floor_ns: same clamp for the hold baseline (defaults to
-            ``wait_floor_ns``; hold guards used to be silently distorted
-            by the wait floor).
     """
 
     def __init__(
         self,
         max_avg_wait_regression: float = 0.20,
-        max_avg_hold_regression: Optional[float] = None,
-        min_acquisitions: int = 20,
-        wait_floor_ns: float = 50.0,
-        hold_floor_ns: Optional[float] = None,
+        min_acquisitions: int = MIN_ACQUISITIONS,
     ) -> None:
         self.max_avg_wait_regression = max_avg_wait_regression
-        self.max_avg_hold_regression = max_avg_hold_regression
         self.min_acquisitions = min_acquisitions
-        self.wait_floor_ns = wait_floor_ns
-        self.hold_floor_ns = wait_floor_ns if hold_floor_ns is None else hold_floor_ns
 
-    # ------------------------------------------------------------------
-    def evaluate(self, baseline: ProfileReport, canary: ProfileReport) -> GuardVerdict:
-        """Compare aggregate canary behaviour against the baseline."""
-        deltas, missing = _lock_deltas(baseline, canary)
-        total_acquired = sum(d.canary_acquired for d in deltas)
-        if not deltas or total_acquired < self.min_acquisitions:
-            return GuardVerdict(True, [], deltas, ready=False, missing=missing)
-
-        breaches: List[Breach] = []
-        base_wait = max(
-            self._avg(baseline, "wait_total_ns", "acquired"), self.wait_floor_ns
-        )
-        after_wait = self._avg(canary, "wait_total_ns", "acquired")
-        if (after_wait - base_wait) / base_wait > self.max_avg_wait_regression:
-            breaches.append(
+    def breaches(
+        self, baseline: ProfileReport, canary: ProfileReport, pairs: List[_Pair]
+    ) -> List[Breach]:
+        base = max(self._avg_wait(baseline), WAIT_FLOOR_NS)
+        after = self._avg_wait(canary)
+        if (after - base) / base > self.max_avg_wait_regression:
+            return [
                 Breach(
                     AGGREGATE,
                     "avg_wait_ns",
-                    base_wait,
-                    after_wait,
+                    base,
+                    after,
                     self.max_avg_wait_regression,
                 )
-            )
-        if self.max_avg_hold_regression is not None:
-            base_hold = max(
-                self._avg(baseline, "hold_total_ns", "releases"), self.hold_floor_ns
-            )
-            after_hold = self._avg(canary, "hold_total_ns", "releases")
-            if (after_hold - base_hold) / base_hold > self.max_avg_hold_regression:
-                breaches.append(
-                    Breach(
-                        AGGREGATE,
-                        "avg_hold_ns",
-                        base_hold,
-                        after_hold,
-                        self.max_avg_hold_regression,
-                    )
-                )
-        return GuardVerdict(not breaches, breaches, deltas, ready=True, missing=missing)
+            ]
+        return []
 
     @staticmethod
-    def _avg(report: ProfileReport, total_field: str, count_field: str) -> float:
-        total = sum(getattr(p, total_field) for p in report.profiles)
-        count = sum(getattr(p, count_field) for p in report.profiles)
+    def _avg_wait(report: ProfileReport) -> float:
+        total = sum(p.wait_total_ns for p in report.profiles)
+        count = sum(p.acquired for p in report.profiles)
         return total / count if count else 0.0
 
 
 class TailWaitGuard(Guard):
-    """Per-lock tail (default p99) wait regression over the profiler's
-    log₂ wait histograms.
+    """Per-lock p99 wait regression over the profiler's log₂ wait
+    histograms.
 
     This is the guard the average-based bound cannot replace: a policy
     that triples one hot lock's p99 while the canary-set average moves a
     few percent passes :class:`SLOGuard` and trips here, with the breach
     naming the lock.  Locks with fewer than
     :data:`MIN_LOCK_ACQUISITIONS` canary samples are skipped, and
-    quantile baselines are clamped up to :data:`TAIL_FLOOR_NS`.
+    p99 baselines are clamped up to :data:`TAIL_FLOOR_NS`.
 
     Args:
-        quantile: which tail to bound (0.99 → metric ``p99_wait_ns``).
-        max_tail_regression: relative quantile increase per lock that
-            trips the guard.
+        max_tail_regression: relative p99 increase per lock that trips
+            the guard.
         min_acquisitions: total canary acquisitions below this defer the
             verdict (not ready).
     """
 
     def __init__(
         self,
-        quantile: float = 0.99,
         max_tail_regression: float = 0.20,
         min_acquisitions: int = MIN_ACQUISITIONS,
     ) -> None:
-        self.quantile = quantile
         self.max_tail_regression = max_tail_regression
         self.min_acquisitions = min_acquisitions
-        self.metric = f"p{round(quantile * 100):g}_wait_ns"
 
-    def evaluate(self, baseline: ProfileReport, canary: ProfileReport) -> GuardVerdict:
-        deltas, missing = _lock_deltas(baseline, canary)
-        total_acquired = sum(d.canary_acquired for d in deltas)
-        if not deltas or total_acquired < self.min_acquisitions:
-            return GuardVerdict(True, [], deltas, ready=False, missing=missing)
-        breaches: List[Breach] = []
-        for profile in canary.profiles:
-            before = baseline.by_name(profile.lock_name)
-            if before is None or profile.acquired < MIN_LOCK_ACQUISITIONS:
+    def breaches(
+        self, baseline: ProfileReport, canary: ProfileReport, pairs: List[_Pair]
+    ) -> List[Breach]:
+        found: List[Breach] = []
+        for before, after in pairs:
+            if after.acquired < MIN_LOCK_ACQUISITIONS:
                 continue
-            base = max(before.quantile(self.quantile), TAIL_FLOOR_NS)
-            after = profile.quantile(self.quantile)
-            if (after - base) / base > self.max_tail_regression:
-                breaches.append(
+            base = max(before.p99_wait_ns, TAIL_FLOOR_NS)
+            observed = after.p99_wait_ns
+            if (observed - base) / base > self.max_tail_regression:
+                found.append(
                     Breach(
-                        profile.lock_name,
-                        self.metric,
+                        after.lock_name,
+                        "p99_wait_ns",
                         base,
-                        after,
+                        observed,
                         self.max_tail_regression,
                     )
                 )
-        return GuardVerdict(not breaches, breaches, deltas, ready=True, missing=missing)
+        return found
 
 
 class FairnessGuard(Guard):
@@ -365,7 +317,8 @@ class FairnessGuard(Guard):
     (the starvation ShflLock's shuffling exists to prevent).  The guard
     trips when a lock's canary imbalance exceeds its baseline imbalance
     by more than ``max_skew_increase`` (absolute, since the statistic
-    is already relative).
+    is already relative).  Locks with fewer than
+    :data:`MIN_LOCK_ACQUISITIONS` canary samples are skipped.
     """
 
     def __init__(self, max_skew_increase: float = 0.25) -> None:
@@ -386,15 +339,12 @@ class FairnessGuard(Guard):
             return 1.0
         return max(counts) / total * len(sockets)
 
-    def evaluate(self, baseline: ProfileReport, canary: ProfileReport) -> GuardVerdict:
-        deltas, missing = _lock_deltas(baseline, canary)
-        total_acquired = sum(d.canary_acquired for d in deltas)
-        if not deltas or total_acquired < MIN_ACQUISITIONS:
-            return GuardVerdict(True, [], deltas, ready=False, missing=missing)
-        breaches: List[Breach] = []
-        for profile in canary.profiles:
-            before = baseline.by_name(profile.lock_name)
-            if before is None or profile.acquired < MIN_LOCK_ACQUISITIONS:
+    def breaches(
+        self, baseline: ProfileReport, canary: ProfileReport, pairs: List[_Pair]
+    ) -> List[Breach]:
+        found: List[Breach] = []
+        for before, after in pairs:
+            if after.acquired < MIN_LOCK_ACQUISITIONS:
                 continue
             # Judge only sockets that participated in either window: a
             # socket the workload never touches is not "starved".
@@ -402,21 +352,21 @@ class FairnessGuard(Guard):
                 s
                 for s in range(MAX_SOCKETS)
                 if (s < len(before.per_socket_acquired) and before.per_socket_acquired[s])
-                or (s < len(profile.per_socket_acquired) and profile.per_socket_acquired[s])
+                or (s < len(after.per_socket_acquired) and after.per_socket_acquired[s])
             ]
             base = self.imbalance(before, sockets)
-            after = self.imbalance(profile, sockets)
-            if after - base > self.max_skew_increase:
-                breaches.append(
+            observed = self.imbalance(after, sockets)
+            if observed - base > self.max_skew_increase:
+                found.append(
                     Breach(
-                        profile.lock_name,
+                        after.lock_name,
                         "socket_skew",
                         base,
-                        after,
+                        observed,
                         self.max_skew_increase,
                     )
                 )
-        return GuardVerdict(not breaches, breaches, deltas, ready=True, missing=missing)
+        return found
 
 
 def _merge(verdicts: List[GuardVerdict], require_all: bool) -> GuardVerdict:
@@ -427,13 +377,12 @@ def _merge(verdicts: List[GuardVerdict], require_all: bool) -> GuardVerdict:
     breach must not be vetoed by a colder guard still warming up.
     """
     ready = [v for v in verdicts if v.ready]
-    deltas = max((v.deltas for v in verdicts), key=len, default=[])
     missing = sorted({name for v in verdicts for name in v.missing})
     if not ready:
-        return GuardVerdict(True, [], deltas, ready=False, missing=missing)
+        return GuardVerdict(True, [], ready=False, missing=missing)
     ok = all(v.ok for v in ready) if require_all else any(v.ok for v in ready)
     breaches = [b for v in ready for b in v.attributed if not v.ok]
-    return GuardVerdict(ok, breaches, deltas, ready=True, missing=missing)
+    return GuardVerdict(ok, breaches, ready=True, missing=missing)
 
 
 class AllOf(Guard):

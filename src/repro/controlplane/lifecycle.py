@@ -35,7 +35,7 @@ in :meth:`AuditLog.for_policy` but never in :meth:`AuditLog.history`
 from __future__ import annotations
 
 import enum
-from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
+from typing import Callable, List, NamedTuple, Optional, Tuple
 
 from ..concord.policy import PolicySpec
 from ..locks.base import Lock
@@ -251,10 +251,6 @@ class PolicyRecord:
         self.client_id = client_id
         self.created_ns = now_ns
         self.state: Optional[PolicyState] = None
-        #: verified footprint (filled by the daemon after verification;
-        #: the admission budget gate charges these against the kernel)
-        self.insn_counts: Dict[str, int] = {}
-        self.pinned_bytes: int = 0
         #: canary rollout artifacts (filled by the rollout engine)
         self.target_locks: List[str] = []
         self.canary_locks: List[str] = []

@@ -4,7 +4,7 @@ A single :class:`~repro.controlplane.Concordd` tunes the locks of one
 kernel; production control planes drive *fleets*.  This package shards
 the control plane without changing its per-kernel safety story — every
 kernel keeps its own daemon, journal shard, SLO guard, and admission
-budgets — and adds the fleet-level decision layer on top:
+gates — and adds the fleet-level decision layer on top:
 
 * :mod:`.manager` — :class:`FleetManager`: the membership directory
   (named :class:`FleetMember`\\ s registered/deregistered at runtime,

@@ -2,7 +2,7 @@
 
 A :class:`FleetMember` bundles everything one shard needs — the kernel,
 its :class:`~repro.concord.Concord`, and a :class:`Concordd` with its
-own journal shard, SLO guard, impl registry, and admission budget.  The
+own journal shard, SLO guard, impl registry, and admission gates.  The
 :class:`FleetManager` is the directory: members register and deregister
 at runtime, and the coordinator/planner address them by name.
 
@@ -43,7 +43,7 @@ class FleetMember:
             journal, and every restart fences the group's leader lease
             forward alongside the member epoch.
         **daemon_kwargs: forwarded to :class:`Concordd` — guard,
-            journal, impl_registry, budget, canary knobs.  Remembered so
+            journal, impl_registry, canary knobs.  Remembered so
             :meth:`restart` can rebuild the daemon after a crash with
             identical configuration.
     """

@@ -39,7 +39,7 @@ _NO_RECHECKS = ()
 class CellWaiter:
     """A task locally spinning on a cell, waiting for a predicate."""
 
-    __slots__ = ("task", "pred", "armed", "cancelled")
+    __slots__ = ("task", "pred", "armed")
 
     def __init__(self, task, pred: Callable[[Any], bool]) -> None:
         self.task = task
@@ -48,7 +48,6 @@ class CellWaiter:
         #: when a recheck is scheduled so multiple writes in flight do not
         #: schedule duplicate rechecks.
         self.armed = True
-        self.cancelled = False
 
 
 class Cell:
@@ -183,7 +182,7 @@ class CacheModel:
         row = self._transfer[socket[writer_cpu]]
         k = 0
         for waiter in cell.waiters:
-            if waiter.armed and not waiter.cancelled:
+            if waiter.armed:
                 waiter.armed = False
                 cpu = waiter.task.cpu_id
                 delay = self._l1_hit if cpu == writer_cpu else row[socket[cpu]]
@@ -227,8 +226,4 @@ class CacheModel:
         cell.waiters.append(waiter)
 
     def remove_waiter(self, cell: Cell, waiter: CellWaiter) -> None:
-        waiter.cancelled = True
-        try:
-            cell.waiters.remove(waiter)
-        except ValueError:
-            pass
+        cell.waiters.remove(waiter)

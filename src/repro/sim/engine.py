@@ -306,8 +306,6 @@ class Engine:
         request was made.  ``Load`` and ``Delay``, most of all requests,
         are priced right here; the rest go through the handler table.
         """
-        if task.state is _DONE:
-            return
         now = self.now
         frozen_until = self.cpus[task.cpu_id].frozen_until
         if frozen_until > now:
@@ -404,8 +402,6 @@ class Engine:
 
     def _wait_first_check(self, payload) -> None:
         task, req = payload
-        if task.state is _DONE:
-            return
         value = req.cell.value
         if req.pred(value):
             self._complete(task, value, self.now)
@@ -418,11 +414,11 @@ class Engine:
         self._c_local_spins.value += 1
 
     def _waiter_recheck(self, waiter: CellWaiter) -> None:
-        if waiter.cancelled:
-            return
+        # Run-to-park: a waiter leaves its cell only through its own
+        # successful recheck, and ``armed`` keeps a second recheck from
+        # being scheduled while one is pending, so every recheck finds
+        # its task spinning on its CPU.
         task = waiter.task
-        if task.state is _DONE or task._spin_waiter is None:
-            return
         cell, _w = task._spin_waiter
         # The recheck is a read: the spinner holds a shared copy again,
         # so the next write pays to invalidate it.

@@ -1,9 +1,10 @@
-"""concordd admission: capabilities, quotas, conflicting submissions."""
+"""concordd admission: capabilities, quotas, conflicting submissions,
+and one composition rule across every path that applies it."""
 
 import pytest
 
 from repro.concord import Concord
-from repro.concord.policy import PolicySpec
+from repro.concord.policy import PolicyConflictError, PolicySpec
 from repro.controlplane import (
     AdmissionError,
     CapabilityError,
@@ -22,12 +23,16 @@ from repro.userspace import PolicyClient
 RETURN_ZERO = "def f(ctx):\n    return 0\n"
 
 
-@pytest.fixture
-def daemon():
+def make_daemon():
     kernel = Kernel(Topology(sockets=2, cores_per_socket=2), seed=1)
     for prefix in ("svc.a", "svc.b", "db.main"):
         kernel.add_lock(f"{prefix}.lock", ShflLock(kernel.engine, name=prefix))
     return Concordd(Concord(kernel))
+
+
+@pytest.fixture
+def daemon():
+    return make_daemon()
 
 
 def sub(name, selector="svc.*.lock", hook=HOOK_CMP_NODE, **spec_kw):
@@ -176,6 +181,82 @@ class TestConflicts:
             bob.submit(sub("shared-name"))
 
 
+def rule_specs(existing_exclusive, new_exclusive, same_combiner):
+    """An existing and a new spec on the same (hook, locks) slot."""
+    existing = PolicySpec(
+        name="old",
+        hook=HOOK_CMP_NODE,
+        source=RETURN_ZERO,
+        lock_selector="svc.*.lock",
+        exclusive=existing_exclusive,
+    )
+    new = PolicySpec(
+        name="new",
+        hook=HOOK_CMP_NODE,
+        source=RETURN_ZERO,
+        lock_selector="svc.*.lock",
+        combiner="or" if same_combiner else "and",
+        exclusive=new_exclusive,
+    )
+    return existing, new
+
+
+def load_against_live_chain(existing, new):
+    concord = make_daemon().concord
+    concord.load_policy(existing)
+    concord.load_policy(new)
+
+
+def submit_against_live_chain(existing, new):
+    daemon = make_daemon()
+    daemon.concord.load_policy(existing)
+    PolicyClient.connect(daemon, "tenant").submit(PolicySubmission(spec=new))
+
+
+def submit_against_inflight(existing, new):
+    daemon = make_daemon()
+    PolicyClient.connect(daemon, "alice").submit(PolicySubmission(spec=existing))
+    PolicyClient.connect(daemon, "bob").submit(PolicySubmission(spec=new))
+
+
+def submit_bundle(existing, new):
+    daemon = make_daemon()
+    PolicyClient.connect(daemon, "tenant").submit(PolicySubmission(specs=(existing, new)))
+
+
+class TestOneCompositionRule:
+    """A differential oracle: Concord's load and the daemon's admission
+    (against a live chain, an in-flight submission and a bundle's own
+    earlier spec) must accept or refuse alike, for every combination of
+    exclusivity and combiner agreement."""
+
+    PATHS = {
+        load_against_live_chain: PolicyConflictError,
+        submit_against_live_chain: SubmissionConflictError,
+        submit_against_inflight: SubmissionConflictError,
+        submit_bundle: SubmissionConflictError,
+    }
+
+    @pytest.mark.parametrize("same_combiner", [True, False])
+    @pytest.mark.parametrize("new_exclusive", [False, True])
+    @pytest.mark.parametrize("existing_exclusive", [False, True])
+    def test_every_path_agrees(self, existing_exclusive, new_exclusive, same_combiner):
+        composes = same_combiner and not (existing_exclusive or new_exclusive)
+        for path, refusal in self.PATHS.items():
+            specs = rule_specs(existing_exclusive, new_exclusive, same_combiner)
+            if composes:
+                path(*specs)
+                continue
+            with pytest.raises(refusal) as refused:
+                path(*specs)
+            # The refusal names both policies, the slot and the reason.
+            text = str(refused.value)
+            assert "'old'" in text and "'new'" in text, (path.__name__, text)
+            assert f"{HOOK_CMP_NODE}@svc." in text, (path.__name__, text)
+            reason = "exclusive" if existing_exclusive or new_exclusive else "combiner"
+            assert reason in text, (path.__name__, text)
+
+
 class TestAudit:
     def test_denial_is_audited(self, daemon):
         client = PolicyClient.connect(daemon, "tenant", allowed_selectors=("svc.*",))
@@ -208,6 +289,9 @@ class TestAudit:
             PolicyState.REJECTED,
         ]
         assert "verifier rejected" in daemon.audit.for_policy("fat")[-1].cause
+        # A record rejected after verification began is terminal, so the
+        # name is free again.
+        assert client.submit(sub_source("fat", RETURN_ZERO)).state is PolicyState.VERIFIED
 
 
 def sub_source(name, source):

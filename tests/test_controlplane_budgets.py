@@ -1,10 +1,8 @@
-"""Kernel-wide admission budgets (:class:`KernelBudget`).
+"""What a rejected submission gives back.
 
-Per-client quotas bound how *many* policies a tenant runs; budgets
-bound the aggregate *weight* on one kernel: total chained instructions
-per hook, total pinned bpffs bytes — summed across every client's live
-policies.  Many small tenants, each inside its quota, must not be able
-to overload a hot lock path together.
+A record refused at admission is terminal: it holds no quota and no
+slot, and its policy name is free again once whatever blocked it is
+gone.
 """
 
 import pytest
@@ -13,16 +11,14 @@ from repro.bpf.maps import HashMap
 from repro.concord import Concord
 from repro.concord.policy import PolicySpec
 from repro.controlplane import (
-    BudgetError,
     Concordd,
-    KernelBudget,
     PolicyState,
     PolicySubmission,
+    SubmissionConflictError,
 )
-from repro.fleet import FleetManager
 from repro.kernel import Kernel
 from repro.locks import ShflLock
-from repro.locks.base import HOOK_LOCK_ACQUIRED, HOOK_LOCK_RELEASE
+from repro.locks.base import HOOK_LOCK_ACQUIRED
 from repro.sim import Topology
 
 METER_SOURCE = """
@@ -32,121 +28,35 @@ def meter(ctx):
 """
 
 
-def submission(name, hook=HOOK_LOCK_ACQUIRED):
+def submission(name, exclusive=False):
     return PolicySubmission(
         spec=PolicySpec(
             name=name,
-            hook=hook,
+            hook=HOOK_LOCK_ACQUIRED,
             source=METER_SOURCE.replace("meter", name.replace("-", "_")),
             maps={"hits": HashMap(f"{name}.hits", max_entries=256)},
             lock_selector="svc.*.lock",
+            exclusive=exclusive,
         )
     )
 
 
-def make_daemon(budget=None, clients=("alice", "bob")):
+def make_daemon(clients=("alice", "bob")):
     kernel = Kernel(Topology(sockets=2, cores_per_socket=2), seed=7)
     kernel.add_lock("svc.a.lock", ShflLock(kernel.engine, name="a"))
-    daemon = Concordd(Concord(kernel), budget=budget)
+    daemon = Concordd(Concord(kernel))
     for client in clients:
         daemon.register_client(client, allowed_selectors=("svc.*",))
     return daemon
 
 
-def footprint(daemon, name="probe"):
-    """Measure one submission's verified footprint, then retire it."""
-    record = daemon.submit("alice", submission(name))
-    insns = record.insn_counts[HOOK_LOCK_ACQUIRED]
-    pinned = record.pinned_bytes
-    daemon.withdraw("alice", name)
-    return insns, pinned
-
-
-def test_no_budget_admits_freely():
-    daemon = make_daemon(budget=None)
-    for index in range(6):
-        daemon.register_client(f"c{index}", allowed_selectors=("svc.*",), max_live_policies=1)
-        record = daemon.submit(f"c{index}", submission(f"p{index}"))
-        assert record.state is PolicyState.VERIFIED
-
-
-def test_hook_insn_budget_caps_aggregate_across_clients():
-    probe = make_daemon()
-    insns, _ = footprint(probe)
-
-    daemon = make_daemon(budget=KernelBudget(max_hook_insns=insns + insns // 2))
-    assert daemon.submit("alice", submission("first")).state is PolicyState.VERIFIED
-    # bob is inside his own quota; the *kernel* is what's full.
-    with pytest.raises(BudgetError, match="chained instructions kernel-wide"):
-        daemon.submit("bob", submission("second"))
-    record = daemon.records["second"]
-    assert record.state is PolicyState.REJECTED
-    assert "budget denied" in daemon.audit.records[-1].cause
-
-
-def test_pinned_bytes_budget_caps_bpffs_usage():
-    probe = make_daemon()
-    _, pinned = footprint(probe)
-
-    daemon = make_daemon(budget=KernelBudget(max_pinned_bytes=pinned + pinned // 2))
-    daemon.submit("alice", submission("first"))
-    with pytest.raises(BudgetError, match="bpffs"):
-        daemon.submit("bob", submission("second"))
-
-
-def test_budget_ignores_other_hooks():
-    probe = make_daemon()
-    insns, _ = footprint(probe)
-
-    daemon = make_daemon(budget=KernelBudget(max_hook_insns=insns + insns // 2))
-    daemon.submit("alice", submission("first"))
-    # Same weight on a different hook: that hook's chain is empty.
-    record = daemon.submit("bob", submission("second", hook=HOOK_LOCK_RELEASE))
-    assert record.state is PolicyState.VERIFIED
-
-
-def test_terminal_records_release_their_budget():
-    probe = make_daemon()
-    insns, _ = footprint(probe)
-
-    daemon = make_daemon(budget=KernelBudget(max_hook_insns=insns + insns // 2))
-    daemon.submit("alice", submission("first"))
-    with pytest.raises(BudgetError):
-        daemon.submit("bob", submission("second"))
-    daemon.withdraw("alice", "first")  # RETIRED = terminal = off-budget
-    record = daemon.submit("bob", submission("third"))
-    assert record.state is PolicyState.VERIFIED
-
-
-def test_budgets_are_per_fleet_member():
-    probe = make_daemon()
-    insns, _ = footprint(probe)
-    budget = KernelBudget(max_hook_insns=insns + insns // 2)
-
-    fleet = FleetManager()
-    for name, seed in (("k0", 1), ("k1", 2)):
-        kernel = Kernel(Topology(sockets=2, cores_per_socket=2), seed=seed)
-        kernel.add_lock("svc.a.lock", ShflLock(kernel.engine, name="a"))
-        member = fleet.register(name, kernel, budget=budget)
-        member.daemon.register_client("ops", allowed_selectors=("svc.*",))
-
-    # Filling k0's budget leaves k1's untouched: the ceiling is
-    # per kernel, not per fleet.
-    fleet.member("k0").daemon.submit("ops", submission("fat"))
-    with pytest.raises(BudgetError):
-        fleet.member("k0").daemon.submit("ops", submission("overflow"))
-    record = fleet.member("k1").daemon.submit("ops", submission("fat"))
-    assert record.state is PolicyState.VERIFIED
-
-
 def test_rejected_submission_leaves_name_reusable():
-    probe = make_daemon()
-    insns, _ = footprint(probe)
-    daemon = make_daemon(budget=KernelBudget(max_hook_insns=insns + insns // 2))
-    daemon.submit("alice", submission("first"))
-    with pytest.raises(BudgetError):
+    daemon = make_daemon()
+    daemon.submit("alice", submission("first", exclusive=True))
+    with pytest.raises(SubmissionConflictError, match="exclusive"):
         daemon.submit("bob", submission("second"))
+    assert daemon.records["second"].state is PolicyState.REJECTED
     daemon.withdraw("alice", "first")
-    # The budget-rejected record is terminal, so the name is free.
+    # The admission-rejected record is terminal, so the name is free.
     record = daemon.submit("bob", submission("second"))
     assert record.state is PolicyState.VERIFIED

@@ -100,27 +100,6 @@ class TestSLOGuardBackCompat:
         assert verdict.attributed[0].lock_name == AGGREGATE
         assert verdict.attributed[0].metric == "avg_wait_ns"
 
-    def test_hold_floor_is_separate_from_wait_floor(self):
-        # Baseline holds average 10ns; canary 30ns (3x).  The old code
-        # clamped the hold baseline with the *wait* floor (50ns), which
-        # swallowed the regression entirely.
-        baseline = report(prof("svc.a.lock", avg_wait=1_000.0, avg_hold=10.0))
-        canary = report(prof("svc.a.lock", avg_wait=1_000.0, avg_hold=30.0))
-        guard = SLOGuard(
-            max_avg_wait_regression=5.0,
-            max_avg_hold_regression=0.5,
-            wait_floor_ns=50.0,
-            hold_floor_ns=5.0,
-        )
-        verdict = guard.evaluate(baseline, canary)
-        assert not verdict.ok
-        assert verdict.attributed[0].metric == "avg_hold_ns"
-
-    def test_hold_floor_defaults_to_wait_floor(self):
-        guard = SLOGuard(wait_floor_ns=80.0)
-        assert guard.hold_floor_ns == 80.0
-        assert SLOGuard(wait_floor_ns=80.0, hold_floor_ns=10.0).hold_floor_ns == 10.0
-
 
 class TestVerdictReadinessEdges:
     def test_exactly_min_acquisitions_is_ready(self):
@@ -135,7 +114,6 @@ class TestVerdictReadinessEdges:
         baseline = report(prof("svc.a.lock"))
         verdict = SLOGuard(min_acquisitions=0).evaluate(baseline, report())
         assert verdict.ok and not verdict.ready
-        assert verdict.deltas == []
 
     def test_canary_lock_absent_from_baseline_is_surfaced(self):
         # A selector typo used to be silently skipped — and a canary set
@@ -201,10 +179,6 @@ class TestTailWaitGuard:
         )
         verdict = TailWaitGuard().evaluate(baseline, canary)
         assert verdict.ok
-
-    def test_metric_names_track_the_quantile(self):
-        assert TailWaitGuard(quantile=0.99).metric == "p99_wait_ns"
-        assert TailWaitGuard(quantile=0.5).metric == "p50_wait_ns"
 
 
 class TestFairnessGuard:

@@ -490,25 +490,25 @@ class _RunToParkEngine(Engine):
         self._last_resumed = {}
 
     def _resume(self, task, result):
-        if task.state is not TaskState.DONE:
-            cpu = self.cpus[task.cpu_id]
-            if cpu.frozen_until <= self.now:
-                assert cpu.current is task, (task, cpu)
-                assert task.state is TaskState.RUNNING, task
-                last = self._last_resumed.get(task.cpu_id, task)
-                assert last is task or last.state in (TaskState.PARKED, TaskState.DONE), (
-                    last,
-                    task,
-                )
-                self._last_resumed[task.cpu_id] = task
-                self.checked_resumes += 1
+        assert task.state is not TaskState.DONE, task
+        cpu = self.cpus[task.cpu_id]
+        if cpu.frozen_until <= self.now:
+            assert cpu.current is task, (task, cpu)
+            assert task.state is TaskState.RUNNING, task
+            last = self._last_resumed.get(task.cpu_id, task)
+            assert last is task or last.state in (TaskState.PARKED, TaskState.DONE), (
+                last,
+                task,
+            )
+            self._last_resumed[task.cpu_id] = task
+            self.checked_resumes += 1
         super()._resume(task, result)
 
     def _waiter_recheck(self, waiter):
         task = waiter.task
-        if not waiter.cancelled:
-            assert task.state is TaskState.SPINNING, task
-            assert self.cpus[task.cpu_id].current is task, task
+        assert task.state is TaskState.SPINNING, task
+        assert self.cpus[task.cpu_id].current is task, task
+        assert task._spin_waiter[1] is waiter, task
         super()._waiter_recheck(waiter)
 
 
